@@ -64,23 +64,6 @@ def weighted_cluster_draws(
     )
 
 
-def random_cluster_draws(
-    clusters: DataFrame, n: int, *, seed: int, draw_id_offset: int = 0
-) -> DataFrame:
-    """n uniform without-replacement cluster draws (RCS first stage)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    w = Window.orderBy("_r")
-    return (
-        clusters.withColumn("_r", F.rand(seed))
-        .orderBy("_r")
-        .limit(n)
-        .withColumn("draw_id", F.row_number().over(w) - 1 + F.lit(draw_id_offset))
-        .drop("_r")
-        .select("draw_id", "subject", "size", "tau")
-    )
-
-
 def draws_to_triples(kg: DataFrame, draws: DataFrame) -> DataFrame:
     """All triples of the drawn clusters, tagged by draw_id (RCS/WCS)."""
     d = F.broadcast(draws.select("draw_id", "subject"))
@@ -105,26 +88,6 @@ def second_stage_sample(kg: DataFrame, draws: DataFrame, m: int, *, seed: int) -
     )
 
 
-def estimate_rcs(
-    tau_per_draw: np.ndarray, *, n_clusters: int, n_triples: int, alpha: float
-) -> Estimate:
-    """RCS estimator mu_hat_r (Eq 7): (N / M n) sum tau_{I_k}.
-
-    The per-draw value is v_k = (N/M) tau_{I_k}; variance from the
-    spread of v_k, per the CI below Eq 7.
-    """
-    v = (n_clusters / n_triples) * np.asarray(tau_per_draw, dtype=np.float64)
-    n = v.size
-    if n == 0:
-        return Estimate(0.0, float("inf"), 0, alpha)
-    return Estimate(
-        mu_hat=float(v.mean()),
-        var_hat=cluster_var_hat(v),
-        n_units=n,
-        alpha=alpha,
-    )
-
-
 def estimate_cluster_means(mu_per_draw: np.ndarray, *, alpha: float) -> Estimate:
     """WCS (Eq 8) / TWCS (Eq 9) estimator: mean of per-draw cluster
     accuracies, Hansen-Hurwitz variance from their spread."""
@@ -140,6 +103,13 @@ def estimate_cluster_means(mu_per_draw: np.ndarray, *, alpha: float) -> Estimate
     )
 
 
-def per_draw_means(annotated) -> np.ndarray:
-    """Per-draw mean label from an annotated pandas sample (draw_id, label)."""
-    return annotated.groupby("draw_id")["label"].mean().to_numpy(np.float64)
+def estimate_rcs(
+    tau_per_draw: np.ndarray, *, n_clusters: int, n_triples: int, alpha: float
+) -> Estimate:
+    """RCS estimator mu_hat_r (Eq 7): (N / M n) sum tau_{I_k}.
+
+    The mean of the per-draw values v_k = (N/M) tau_{I_k}, with the
+    variance from their spread, per the CI below Eq 7.
+    """
+    v = (n_clusters / n_triples) * np.asarray(tau_per_draw, dtype=np.float64)
+    return estimate_cluster_means(v, alpha=alpha)

@@ -1,11 +1,16 @@
 """Iterative static-evaluation framework (Sec 4, Fig 2).
 
 Sample Collector -> Sample Pool -> Estimation -> Quality Control, looped
-until the margin of error drops to the user threshold. The collector is
-one of the Sec 5 sampling designs running as Spark DataFrame transforms;
-annotation goes through the SimulatedAnnotator (which charges the Eq 4
-cost model); estimation and the stopping rule run in the driver on the
-(small) accumulated sample.
+until the margin of error drops to the user threshold. ``sample_until``
+is that loop, and the only copy of its stopping rule: the Spark
+evaluations here, the Monte-Carlo trials (``repro.sim.mc``) and the
+evolving evaluators (``repro.evolving``) each supply just a ``draw``
+step (what to sample, how to charge its cost) and an ``estimate``.
+
+Here the collector is one of the Sec 5 sampling designs running as Spark
+DataFrame transforms; annotation goes through the SimulatedAnnotator
+(which charges the Eq 4 cost model); estimation runs in the driver on
+the (small) accumulated sample.
 
 Batching conventions (calibrated against the paper's reported sample
 sizes; see EXPERIMENTS.md):
@@ -24,6 +29,7 @@ The stopping rule trusts the Normal-approximation MoE only after
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -34,7 +40,7 @@ from repro.annotate.annotator import SimulatedAnnotator
 from repro.core import cluster_sampling as cs
 from repro.core.cluster_stats import cluster_stats_df
 from repro.core.cost import CostParams
-from repro.core.srs import estimate_srs
+from repro.core.srs import estimate_srs, srs_sample
 from repro.core.stats import Estimate
 
 
@@ -58,11 +64,33 @@ class EvalResult:
     n_triples: int  # triples annotated
     n_batches: int
     design: str
+    stop_reason: str  # "moe", "max_units" or "exhausted" (see sample_until)
     n_entities: int = 0  # entity identifications charged (Eq 4's |E'|)
 
-    @property
-    def converged(self) -> bool:
-        return self.estimate.moe <= float("inf")
+
+def sample_until(
+    cfg: EvalConfig,
+    min_units: int,
+    estimate: Callable[[], Estimate],
+    draw: Callable[[], bool],
+) -> tuple[Estimate, int, str]:
+    """The Fig 2 loop: estimate, stop if the sample is good enough, else draw.
+
+    Stops with reason "moe" once ``min_units`` units give MoE <= eps,
+    "max_units" at the hard safety stop, and "exhausted" when ``draw``
+    returns False because the population has nothing left to sample.
+    Returns the last estimate, the batches drawn and the stop reason.
+    """
+    n_batches = 0
+    while True:
+        est = estimate()
+        if est.n_units >= min_units and est.moe <= cfg.eps:
+            return est, n_batches, "moe"
+        if est.n_units >= cfg.max_units:
+            return est, n_batches, "max_units"
+        if not draw():
+            return est, n_batches, "exhausted"
+        n_batches += 1
 
 
 def _shuffled_prefix(df: DataFrame, n: int, *, seed: int) -> pd.DataFrame:
@@ -72,7 +100,7 @@ def _shuffled_prefix(df: DataFrame, n: int, *, seed: int) -> pd.DataFrame:
     is deterministic for a fixed plan), so iterative growth stays a
     without-replacement sample.
     """
-    return df.withColumn("_r", F.rand(seed)).orderBy("_r").limit(n).drop("_r").toPandas()
+    return srs_sample(df, n, seed=seed).toPandas()
 
 
 def evaluate_static(
@@ -83,7 +111,6 @@ def evaluate_static(
     config: EvalConfig = EvalConfig(),
     seed: int = 0,
     annotator: SimulatedAnnotator | None = None,
-    clusters: DataFrame | None = None,
 ) -> EvalResult:
     """Run the Fig 2 loop with the given sampling design on a Spark KG.
 
@@ -98,41 +125,36 @@ def evaluate_static(
 
     if design == "srs":
         return _run_srs(kg, config=config, seed=seed, ann=ann)
-    cl = clusters if clusters is not None else cluster_stats_df(kg).cache()
+    cl = cluster_stats_df(kg).cache()
     try:
         return _run_cluster(kg, cl, design=design, m=m, config=config, seed=seed, ann=ann)
     finally:
-        if clusters is None:
-            cl.unpersist()
+        cl.unpersist()
 
 
 def _run_srs(kg: DataFrame, *, config: EvalConfig, seed: int, ann: SimulatedAnnotator) -> EvalResult:
     total = kg.count()
-    labels: list[np.ndarray] = []
-    pool = pd.DataFrame()
-    n_batches = 0
-    fetched = 0
+    labels: list[float] = []
     prefix = _shuffled_prefix(kg, min(total, 16 * config.batch_triples), seed=seed)
-    while True:
-        lo, hi = fetched, min(fetched + config.batch_triples, total)
+
+    def draw() -> bool:
+        nonlocal prefix
+        lo, hi = len(labels), min(len(labels) + config.batch_triples, total)
         if lo >= total:
-            break  # population exhausted: exact census
+            return False  # exact census
         while hi > len(prefix) and len(prefix) < total:
             prefix = _shuffled_prefix(kg, min(total, 2 * max(hi, len(prefix))), seed=seed)
-        batch = prefix.iloc[lo:hi]
-        fetched = hi
-        annotated = ann.annotate_triples(batch)
-        labels.append(annotated["label"].to_numpy(np.float64))
-        pool = pd.concat([pool, annotated], ignore_index=True)
-        n_batches += 1
-        est = estimate_srs(np.concatenate(labels), alpha=config.alpha)
-        if (est.n_units >= config.min_triples and est.moe <= config.eps) or (
-            est.n_units >= config.max_units
-        ):
-            break
-    est = estimate_srs(np.concatenate(labels), alpha=config.alpha)
+        labels.extend(ann.annotate_triples(prefix.iloc[lo:hi])["label"].tolist())
+        return True
+
+    est, n_batches, reason = sample_until(
+        config,
+        config.min_triples,
+        lambda: estimate_srs(np.asarray(labels, dtype=np.float64), alpha=config.alpha),
+        draw,
+    )
     return EvalResult(
-        est, ann.hours, est.n_units, est.n_units, n_batches, "srs",
+        est, ann.hours, est.n_units, est.n_units, n_batches, "srs", reason,
         n_entities=ann.ledger.n_identifications,
     )
 
@@ -147,72 +169,57 @@ def _run_cluster(
     seed: int,
     ann: SimulatedAnnotator,
 ) -> EvalResult:
-    # Population constants for the RCS estimator.
-    row = clusters.agg(
-        F.count(F.lit(1)).alias("N"), F.sum("size").alias("M")
-    ).collect()[0]
-    n_clusters_pop, n_triples_pop = int(row["N"]), int(row["M"])
+    b = config.batch_clusters
+    values: list[float] = []  # per draw: tau for RCS, the cluster mean otherwise
+    i_batch = n_triples = 0
+    prefix = pd.DataFrame()
 
-    per_draw_values: list[float] = []
-    n_triples_annotated = 0
-    n_batches = 0
-    draw_offset = 0
-    rcs_prefix: pd.DataFrame | None = None
+    if design == "rcs":
+        # Population constants for the RCS estimator.
+        row = clusters.agg(
+            F.count(F.lit(1)).alias("N"), F.sum("size").alias("M")
+        ).collect()[0]
+        n_clusters_pop, n_triples_pop = int(row["N"]), int(row["M"])
 
-    while True:
-        b = config.batch_clusters
+    def estimate() -> Estimate:
         if design == "rcs":
-            want = draw_offset + b
-            if rcs_prefix is None or len(rcs_prefix) < min(want, n_clusters_pop):
-                k = min(n_clusters_pop, max(4 * b, 2 * want))
-                rcs_prefix = (
-                    clusters.withColumn("_r", F.rand(seed))
-                    .orderBy("_r")
-                    .limit(k)
-                    .drop("_r")
-                    .toPandas()
-                )
-            if draw_offset >= n_clusters_pop:
-                break  # exhausted: census of clusters
-            batch_clusters = rcs_prefix.iloc[draw_offset : min(want, n_clusters_pop)].copy()
-            batch_clusters["draw_id"] = np.arange(draw_offset, draw_offset + len(batch_clusters))
-            draws = kg.sparkSession.createDataFrame(
-                batch_clusters[["draw_id", "subject", "size", "tau"]]
+            return cs.estimate_rcs(
+                np.asarray(values), n_clusters=n_clusters_pop, n_triples=n_triples_pop,
+                alpha=config.alpha,
             )
+        return cs.estimate_cluster_means(np.asarray(values), alpha=config.alpha)
+
+    def draw() -> bool:
+        nonlocal i_batch, n_triples, prefix
+        lo = i_batch * b
+        if design == "rcs":
+            if lo >= n_clusters_pop:
+                return False  # census of clusters
+            hi = min(lo + b, n_clusters_pop)
+            if len(prefix) < hi:
+                k = min(n_clusters_pop, max(4 * b, 2 * (lo + b)))
+                prefix = _shuffled_prefix(clusters, k, seed=seed)
+            batch = prefix.iloc[lo:hi].assign(draw_id=np.arange(lo, hi))
+            draws = kg.sparkSession.createDataFrame(batch[["draw_id", "subject", "size", "tau"]])
         else:
             draws = cs.weighted_cluster_draws(
-                clusters, b, seed=seed + 101 * n_batches, draw_id_offset=draw_offset
+                clusters, b, seed=seed + 101 * i_batch, draw_id_offset=lo
             )
 
         if design == "twcs":
-            sample = cs.second_stage_sample(kg, draws, m, seed=seed + 7 + 101 * n_batches)
+            sample = cs.second_stage_sample(kg, draws, m, seed=seed + 7 + 101 * i_batch)
         else:
             sample = cs.draws_to_triples(kg, draws)
         annotated = ann.annotate_tasks(sample)
-        n_triples_annotated += len(annotated)
-        n_batches += 1
-        draw_offset += b
+        labels = annotated.groupby("draw_id")["label"]
+        per_draw = labels.sum() if design == "rcs" else labels.mean()
+        values.extend(per_draw.to_numpy(np.float64).tolist())
+        n_triples += len(annotated)
+        i_batch += 1
+        return True
 
-        if design == "rcs":
-            taus = annotated.groupby("draw_id")["label"].sum().to_numpy(np.float64)
-            per_draw_values.extend(taus.tolist())
-            est = cs.estimate_rcs(
-                np.asarray(per_draw_values),
-                n_clusters=n_clusters_pop,
-                n_triples=n_triples_pop,
-                alpha=config.alpha,
-            )
-        else:
-            means = cs.per_draw_means(annotated)
-            per_draw_values.extend(means.tolist())
-            est = cs.estimate_cluster_means(np.asarray(per_draw_values), alpha=config.alpha)
-
-        if (est.n_units >= config.min_draws and est.moe <= config.eps) or (
-            est.n_units >= config.max_units
-        ):
-            break
-
+    est, n_batches, reason = sample_until(config, config.min_draws, estimate, draw)
     return EvalResult(
-        est, ann.hours, est.n_units, n_triples_annotated, n_batches, design,
+        est, ann.hours, est.n_units, n_triples, n_batches, design, reason,
         n_entities=ann.ledger.n_identifications,
     )

@@ -25,33 +25,6 @@ def z_value(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
-def srs_moe(mu_hat: float, n: int, alpha: float) -> float:
-    """MoE of the SRS estimator (Sec 5.1): z * sqrt(mu(1-mu)/n).
-
-    Follows the paper's Normal approximation exactly: a sample with
-    ``mu_hat`` of 0 or 1 reports MoE 0 (the framework's minimum batch
-    size keeps n above the CLT rule of thumb before this is trusted).
-    """
-    if n <= 0:
-        return float("inf")
-    return z_value(alpha) * math.sqrt(max(mu_hat * (1.0 - mu_hat), 0.0) / n)
-
-
-def cluster_moe(cluster_means: np.ndarray, alpha: float) -> float:
-    """MoE of a cluster-sampling estimator from per-draw values.
-
-    For WCS/TWCS (Eqs 8-9) the per-draw value is the (estimated) cluster
-    accuracy mu_{I_k}; for RCS (Eq 7) it is (N/M) * tau_{I_k}. The CI
-    half-width is ``z * sqrt( sum (v_k - v_bar)^2 / (n (n-1)) )``.
-    """
-    v = np.asarray(cluster_means, dtype=np.float64)
-    n = v.size
-    if n < 2:
-        return float("inf")
-    s2 = float(np.sum((v - v.mean()) ** 2)) / (n * (n - 1))
-    return z_value(alpha) * math.sqrt(max(s2, 0.0))
-
-
 def cluster_var_hat(cluster_means: np.ndarray) -> float:
     """Estimated variance of the cluster-sampling estimator itself.
 
@@ -93,9 +66,17 @@ class Estimate:
 
 
 def combine_stratified(
-    weights: np.ndarray, mu_hats: np.ndarray, var_hats: np.ndarray, alpha: float
+    weights: np.ndarray,
+    mu_hats: np.ndarray,
+    var_hats: np.ndarray,
+    alpha: float,
+    *,
+    n_units: int,
 ) -> Estimate:
-    """Stratified combination (Eq 13): mu = sum W_h mu_h, var = sum W_h^2 var_h."""
+    """Stratified combination (Eq 13): mu = sum W_h mu_h, var = sum W_h^2 var_h.
+
+    ``n_units`` is the draw count over all strata.
+    """
     w = np.asarray(weights, dtype=np.float64)
     mu = np.asarray(mu_hats, dtype=np.float64)
     v = np.asarray(var_hats, dtype=np.float64)
@@ -106,6 +87,6 @@ def combine_stratified(
     return Estimate(
         mu_hat=float(np.dot(w, mu)),
         var_hat=float(np.dot(w**2, v)),
-        n_units=0,
+        n_units=n_units,
         alpha=alpha,
     )

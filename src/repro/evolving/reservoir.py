@@ -4,15 +4,16 @@ Weighted reservoir sampling in the Efraimidis-Spirakis A-Res scheme:
 cluster i receives key k_i = u_i^(1/M_i) with u_i ~ U(0,1); the
 reservoir holds the |R| clusters with the largest keys. Maintaining the
 top-|R| under a batch of insertions Delta is exactly Algorithm 1's
-smallest-key replacement loop, and — because top-n is associative —
-``top-n(G + Delta) = top-n(top-n(G) ∪ keys(Delta))``, which is how the
-Spark transform merges updates.
+smallest-key replacement loop: because top-n is associative,
+``top-n(G + Delta) = top-n(top-n(G) ∪ keys(Delta))``, so an update only
+compares Delta's keys against the reservoir.
 
 The evaluator follows the paper: the reservoir is *used as* the TWCS
 first-stage sample (per-cluster second-stage SRS of <= m triples), the
 estimate is the Eq 9 mean-of-cluster-means, and when an update pushes
 the MoE above eps the static loop tops the reservoir up with further
-clusters (Sec 6.1's "run Static Evaluation on G + Delta"). A-Res draws
+clusters (Sec 6.1's "run Static Evaluation on G + Delta"), through the
+shared Fig 2 loop ``core.framework.sample_until``. A-Res draws
 clusters PPS *without* replacement while Hansen-Hurwitz assumes
 with-replacement draws; with |R| << N the distinction is negligible and
 the paper adopts the same approximation.
@@ -27,50 +28,12 @@ import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.cluster_stats import Population
 from repro.core.cost import CostLedger
-from repro.core.framework import EvalConfig
+from repro.core.framework import EvalConfig, sample_until
 from repro.core.cluster_sampling import estimate_cluster_means
 from repro.core.stats import Estimate
-
-
-# ---------------------------------------------------------------------------
-# Spark transforms (distributed key generation + top-n reservoir)
-# ---------------------------------------------------------------------------
-
-
-def with_reservoir_keys(clusters: DataFrame, *, seed: int) -> DataFrame:
-    """Attach A-Res keys u^(1/M_i) to a cluster-stats DataFrame."""
-    return clusters.withColumn("res_key", F.pow(F.rand(seed), 1.0 / F.col("size")))
-
-
-def top_reservoir(clusters_with_keys: DataFrame, n: int) -> DataFrame:
-    """The |R|=n largest-key clusters (TakeOrdered under the hood)."""
-    if n < 1:
-        raise ValueError("reservoir size must be >= 1")
-    return clusters_with_keys.orderBy(F.desc("res_key")).limit(n)
-
-
-def merge_reservoir(
-    reservoir: DataFrame, delta_clusters: DataFrame, n: int, *, seed: int
-) -> DataFrame:
-    """Algorithm 1 as a batch transform: new reservoir of G + Delta.
-
-    ``reservoir`` must already carry ``res_key``; Delta gets fresh keys.
-    Equivalent to rebuilding the reservoir from scratch over G + Delta
-    because top-n is associative over the union.
-    """
-    return top_reservoir(
-        reservoir.unionByName(with_reservoir_keys(delta_clusters, seed=seed)), n
-    )
-
-
-# ---------------------------------------------------------------------------
-# Incremental evaluator (numpy/driver mirror used by the experiments)
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -117,20 +80,19 @@ class ReservoirEvaluator:
         means = np.array([mb.mean for _, _, mb in self.members])
         return estimate_cluster_means(means, alpha=self.cfg.alpha)
 
-    def _converged(self, est: Estimate) -> bool:
-        return (
-            est.n_units >= self.cfg.min_draws and est.moe <= self.cfg.eps
-        ) or est.n_units >= self.cfg.max_units
+    def _top_up_until_converged(self, rng: np.random.Generator) -> Estimate:
+        """The static loop over the spare pool, largest keys first."""
 
-    def _top_up_until_converged(self, rng: np.random.Generator) -> None:
-        while True:
-            est = self.estimate()
-            if self._converged(est) or not self.spare:
-                return
+        def draw() -> bool:
+            if not self.spare:
+                return False
             take = min(self.cfg.batch_clusters, len(self.spare))
             for key, subj, size, tau in self.spare[:take]:
                 self._push(self._annotate(key, subj, size, tau, rng))
             del self.spare[:take]
+            return True
+
+        return sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)[0]
 
     def initialise(self, pop: Population, rng: np.random.Generator) -> Estimate:
         """Static phase on the base KG: grow the reservoir until MoE <= eps."""
@@ -140,8 +102,7 @@ class ReservoirEvaluator:
             (float(keys[i]), int(pop.subjects[i]), int(pop.sizes[i]), int(pop.taus[i]))
             for i in order
         ]
-        self._top_up_until_converged(rng)
-        return self.estimate()
+        return self._top_up_until_converged(rng)
 
     def apply_update(self, delta: Population, rng: np.random.Generator) -> Estimate:
         """Algorithm 1 over Delta's clusters, then top-up if MoE > eps."""
@@ -163,8 +124,7 @@ class ReservoirEvaluator:
         self.spare.extend(new_spare)
         self.spare.sort(key=lambda t: -t[0])
         assert len(self.members) == size_before, "reservoir size is invariant"
-        self._top_up_until_converged(rng)
-        return self.estimate()
+        return self._top_up_until_converged(rng)
 
     @property
     def hours(self) -> float:

@@ -8,7 +8,8 @@ beats RS on cost — and why a bad early estimate lingers (Sec 7.3.2's
 fault-tolerance trade-off, which tests reproduce).
 
 Per Algorithm 2, after an update only the newest stratum is sampled:
-draw TWCS batches on Delta until the *combined* MoE is back under eps.
+draw TWCS batches on Delta until the *combined* MoE is back under eps,
+through the shared Fig 2 loop ``core.framework.sample_until``.
 """
 from __future__ import annotations
 
@@ -18,28 +19,22 @@ import numpy as np
 
 from repro.core.cluster_stats import Population
 from repro.core.cost import CostLedger
-from repro.core.framework import EvalConfig
+from repro.core.framework import EvalConfig, sample_until
 from repro.core.cluster_sampling import estimate_cluster_means
 from repro.core.stats import Estimate, combine_stratified
 from repro.sim.mc import _pps_draws
+
+# Incremental batches on Delta are finer than the static loop's: each
+# new stratum usually needs only a handful of draws to pull the
+# combined MoE back under eps, so coarse batches would overshoot and
+# erase SS's cost advantage (the whole point of Algorithm 2).
+UPDATE_BATCH_CLUSTERS = 5
 
 
 @dataclass
 class _Stratum:
     pop: Population
     means: list[float] = field(default_factory=list)  # per-draw TWCS means
-
-    @property
-    def n_triples(self) -> int:
-        return self.pop.n_triples
-
-    @property
-    def mu_hat(self) -> float:
-        return float(np.mean(self.means)) if self.means else 0.0
-
-    @property
-    def var_hat(self) -> float:
-        return estimate_cluster_means(np.asarray(self.means), alpha=0.05).var_hat
 
 
 @dataclass
@@ -48,11 +43,6 @@ class StratifiedIncrementalEvaluator:
 
     m: int
     cfg: EvalConfig = field(default_factory=EvalConfig)
-    # Incremental batches on Delta are finer than the static loop's: each
-    # new stratum usually needs only a handful of draws to pull the
-    # combined MoE back under eps, so coarse batches would overshoot and
-    # erase SS's cost advantage (the whole point of Algorithm 2).
-    update_batch_clusters: int = 5
     strata: list[_Stratum] = field(default_factory=list)
     ledger: CostLedger = field(default_factory=CostLedger)
 
@@ -66,36 +56,32 @@ class StratifiedIncrementalEvaluator:
             self.ledger.charge_task(int(si))
 
     def estimate(self) -> Estimate:
-        w = np.array([st.n_triples for st in self.strata], dtype=np.float64)
+        w = np.array([st.pop.n_triples for st in self.strata], dtype=np.float64)
         w /= w.sum()
-        mu = np.array([st.mu_hat for st in self.strata])
-        var = np.array([st.var_hat for st in self.strata])
-        return combine_stratified(w, mu, var, self.cfg.alpha)
-
-    def _total_draws(self) -> int:
-        return sum(len(st.means) for st in self.strata)
+        alpha = self.cfg.alpha
+        per = [estimate_cluster_means(np.asarray(st.means), alpha=alpha) for st in self.strata]
+        mu = np.array([e.mu_hat for e in per])
+        var = np.array([e.var_hat for e in per])
+        return combine_stratified(w, mu, var, alpha, n_units=sum(e.n_units for e in per))
 
     def _sample_until_converged(
         self, st: _Stratum, rng: np.random.Generator, batch: int
-    ) -> None:
-        """Algorithm 2's while-loop: batches on the given stratum only."""
+    ) -> Estimate:
+        """Algorithm 2's while-loop: batches on the new stratum ``st`` only."""
         min_stratum_draws = 2  # variance of a stratum needs >= 2 draws
-        while True:
-            if len(st.means) < min_stratum_draws:
-                self._draw_batch(st, min_stratum_draws - len(st.means), rng)
-            est = self.estimate()
-            if (
-                self._total_draws() >= self.cfg.min_draws and est.moe <= self.cfg.eps
-            ) or self._total_draws() >= self.cfg.max_units:
-                return
+        self._draw_batch(st, min_stratum_draws, rng)
+
+        def draw() -> bool:
             self._draw_batch(st, batch, rng)
+            return True
+
+        return sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)[0]
 
     def initialise(self, pop: Population, rng: np.random.Generator) -> Estimate:
         """Static TWCS evaluation of the base KG G (stratum 0)."""
         st = _Stratum(pop)
         self.strata.append(st)
-        self._sample_until_converged(st, rng, self.cfg.batch_clusters)
-        return self.estimate()
+        return self._sample_until_converged(st, rng, self.cfg.batch_clusters)
 
     def apply_update(self, delta: Population, rng: np.random.Generator) -> Estimate:
         """Algorithm 2: Delta is a fresh stratum; only it gets sampled."""
@@ -103,8 +89,7 @@ class StratifiedIncrementalEvaluator:
             raise RuntimeError("initialise() must run before apply_update()")
         st = _Stratum(delta)
         self.strata.append(st)
-        self._sample_until_converged(st, rng, self.update_batch_clusters)
-        return self.estimate()
+        return self._sample_until_converged(st, rng, UPDATE_BATCH_CLUSTERS)
 
     @property
     def hours(self) -> float:

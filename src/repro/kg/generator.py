@@ -16,8 +16,8 @@ Profiles (paper dataset -> generator):
 - MOVIE-SYN (MOVIE structure + BMM labels, Eq 15)          -> movie_syn(sf, c, sigma)
 - MOVIE-FULL (14,495,142 / 130,591,799, avg 9.0)           -> movie_full_like(sf)
 
-NELL/YAGO use a truncated power-law size distribution (NELL: >98% of
-clusters below size 5, matching Sec 7.2.2); MOVIE* use a heavy-tailed
+NELL/YAGO use shifted-Poisson cluster sizes (NELL: >98% of clusters
+below size 5, matching Sec 7.2.2); MOVIE* use a heavy-tailed
 lognormal (largest clusters in the thousands at sf=1, matching
 Sec 5.2.3). Gold accuracies are pinned via ``labels.calibrate`` while
 preserving the size-accuracy correlation of Fig 3.
@@ -28,7 +28,7 @@ simulated annotator may look at it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -50,7 +50,6 @@ class SyntheticKG:
     probs: np.ndarray  # p_i used to draw taus (kept for oracle stratification)
     seed: int
     subject_offset: int = 0  # shift subject ids (evolving-KG update batches)
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (len(self.sizes) == len(self.taus) == len(self.probs)):
@@ -138,28 +137,6 @@ class SyntheticKG:
             F.floor(F.rand(self.seed + 3000) * (1 << 40)).cast("long").alias("object"),
             (F.col("_line") <= F.col("tau")).cast("int").alias("label"),
         )
-
-
-def _powerlaw_sizes(
-    n: int, mean_target: float, *, kmax: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Cluster sizes from pmf(k) ~ k^-a on 1..kmax, exponent bisected so
-    the *expected* size equals ``mean_target`` (long-tail: mass at 1-2)."""
-    ks = np.arange(1, kmax + 1, dtype=np.float64)
-
-    def mean_for(a: float) -> float:
-        w = ks**-a
-        return float(np.dot(ks, w) / w.sum())
-
-    lo, hi = 0.1, 10.0  # mean_for is decreasing in a
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if mean_for(mid) > mean_target:
-            lo = mid
-        else:
-            hi = mid
-    w = ks ** -((lo + hi) / 2.0)
-    return rng.choice(np.arange(1, kmax + 1), size=n, p=w / w.sum()).astype(np.int64)
 
 
 def _lognormal_sizes(

@@ -13,9 +13,11 @@ aggregated once by Spark — so the repetition layer runs in numpy:
 - a TWCS second-stage sample of s=min(M_i, m) triples without
   replacement has Hypergeometric(tau_i, M_i - tau_i, s) correct triples.
 
-Stopping rules, batch sizes, and cost accounting replicate
-``core.framework.EvalConfig`` exactly; equivalence with the Spark layer
-is asserted in tests/test_mc_vs_spark.py.
+Every trial runs the same Fig 2 loop and stopping rule as the Spark
+layer (``core.framework.sample_until``) under the same ``EvalConfig``
+batch sizes, and charges the same Eq 4 cost; a trial supplies only its
+draw step and estimator. Equivalence with the Spark layer is asserted
+in tests/test_mc_vs_spark.py.
 """
 from __future__ import annotations
 
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.cluster_stats import Population
-from repro.core.framework import EvalConfig
+from repro.core.framework import EvalConfig, sample_until
 from repro.core.srs import estimate_srs
-from repro.core.stats import Estimate, combine_stratified, z_value
+from repro.core.stats import Estimate, combine_stratified
 from repro.core.cluster_sampling import estimate_cluster_means, estimate_rcs
 
 
@@ -38,6 +40,7 @@ class TrialResult:
     n_draws: int  # primary units (triples for SRS)
     n_triples: int  # triples annotated
     n_entities: int  # entity identifications charged
+    stop_reason: str  # "moe", "max_units" or "exhausted" (see sample_until)
 
 
 @dataclass(frozen=True)
@@ -57,28 +60,23 @@ class TrialsSummary:
 
     @classmethod
     def from_trials(cls, design: str, trials: list[TrialResult]) -> "TrialsSummary":
-        mu = np.array([t.mu_hat for t in trials])
-        hrs = np.array([t.hours for t in trials])
-        dr = np.array([t.n_draws for t in trials])
-        tr = np.array([t.n_triples for t in trials])
+        def sd(a: np.ndarray) -> float:
+            return float(a.std(ddof=1)) if len(trials) > 1 else 0.0
+
+        mu, hrs, dr, tr = (
+            np.array([getattr(t, f) for t in trials])
+            for f in ("mu_hat", "hours", "n_draws", "n_triples")
+        )
         return cls(
             design,
-            float(mu.mean()),
-            float(mu.std(ddof=1)) if len(trials) > 1 else 0.0,
-            float(hrs.mean()),
-            float(hrs.std(ddof=1)) if len(trials) > 1 else 0.0,
-            float(dr.mean()),
-            float(dr.std(ddof=1)) if len(trials) > 1 else 0.0,
-            float(tr.mean()),
-            float(tr.std(ddof=1)) if len(trials) > 1 else 0.0,
+            float(mu.mean()), sd(mu),
+            float(hrs.mean()), sd(hrs),
+            float(dr.mean()), sd(dr),
+            float(tr.mean()), sd(tr),
             len(trials),
             float(np.percentile(mu, 2.5)),
             float(np.percentile(mu, 97.5)),
         )
-
-
-def _stopped(est: Estimate, n_min: int, cfg: EvalConfig) -> bool:
-    return (est.n_units >= n_min and est.moe <= cfg.eps) or est.n_units >= cfg.max_units
 
 
 def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
@@ -89,10 +87,11 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
     drawn: set[int] = set()
     labels: list[int] = []
     clusters_seen: set[int] = set()
-    while True:
+
+    def draw() -> bool:
         want = min(cfg.batch_triples, M - len(drawn))
         if want <= 0:
-            break
+            return False
         batch: list[int] = []
         while len(batch) < want:
             for g in rng.integers(0, M, size=2 * (want - len(batch))):
@@ -106,13 +105,17 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
         ci = np.searchsorted(cum, idx, side="right")
         labels.extend((idx - starts[ci] < pop.taus[ci]).astype(int).tolist())
         clusters_seen.update(ci.tolist())
-        est = estimate_srs(np.asarray(labels, dtype=np.float64), alpha=cfg.alpha)
-        if _stopped(est, cfg.min_triples, cfg):
-            break
-    est = estimate_srs(np.asarray(labels, dtype=np.float64), alpha=cfg.alpha)
-    n = len(labels)
+        return True
+
+    est, _, reason = sample_until(
+        cfg,
+        cfg.min_triples,
+        lambda: estimate_srs(np.asarray(labels, dtype=np.float64), alpha=cfg.alpha),
+        draw,
+    )
+    n = est.n_units
     hours = cfg.cost.cost_hours(len(clusters_seen), n)
-    return TrialResult(est.mu_hat, est.moe, hours, n, n, len(clusters_seen))
+    return TrialResult(est.mu_hat, est.moe, hours, n, n, len(clusters_seen), reason)
 
 
 def _pps_draws(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -133,20 +136,26 @@ def twcs_trial(
     """Iterative TWCS (or WCS when ``wcs=True``: full-cluster annotation)."""
     means: list[float] = []
     n_triples = 0
-    n_tasks = 0
-    while True:
+
+    def draw() -> bool:
+        nonlocal n_triples
         ci = _pps_draws(pop, cfg.batch_clusters, rng)
         sizes, taus = pop.sizes[ci], pop.taus[ci]
         s = sizes if wcs else np.minimum(sizes, m)
         good = rng.hypergeometric(taus, sizes - taus, s)
         means.extend((good / s).tolist())
         n_triples += int(s.sum())
-        n_tasks += len(ci)
-        est = estimate_cluster_means(np.asarray(means), alpha=cfg.alpha)
-        if _stopped(est, cfg.min_draws, cfg):
-            break
+        return True
+
+    est, _, reason = sample_until(
+        cfg,
+        cfg.min_draws,
+        lambda: estimate_cluster_means(np.asarray(means), alpha=cfg.alpha),
+        draw,
+    )
+    n_tasks = est.n_units
     hours = cfg.cost.cost_hours(n_tasks, n_triples)
-    return TrialResult(est.mu_hat, est.moe, hours, n_tasks, n_triples, n_tasks)
+    return TrialResult(est.mu_hat, est.moe, hours, n_tasks, n_triples, n_tasks, reason)
 
 
 def wcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
@@ -165,25 +174,32 @@ def rcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
     order = rng.permutation(pop.n_clusters)
     taus: list[float] = []
     n_triples = 0
-    pos = 0
-    while True:
+
+    def draw() -> bool:
+        nonlocal n_triples
+        pos = len(taus)
         take = min(max(cfg.batch_clusters, pos // 4), pop.n_clusters - pos)
         if take <= 0:
-            break
+            return False
         ci = order[pos : pos + take]
-        pos += take
         taus.extend(pop.taus[ci].astype(float).tolist())
         n_triples += int(pop.sizes[ci].sum())
-        est = estimate_rcs(
+        return True
+
+    est, _, reason = sample_until(
+        cfg,
+        cfg.min_draws,
+        lambda: estimate_rcs(
             np.asarray(taus),
             n_clusters=pop.n_clusters,
             n_triples=pop.n_triples,
             alpha=cfg.alpha,
-        )
-        if _stopped(est, cfg.min_draws, cfg):
-            break
-    hours = cfg.cost.cost_hours(pos, n_triples)
-    return TrialResult(est.mu_hat, est.moe, hours, pos, n_triples, pos)
+        ),
+        draw,
+    )
+    n_drawn = est.n_units
+    hours = cfg.cost.cost_hours(n_drawn, n_triples)
+    return TrialResult(est.mu_hat, est.moe, hours, n_drawn, n_triples, n_drawn, reason)
 
 
 def stratified_twcs_trial(
@@ -197,23 +213,17 @@ def stratified_twcs_trial(
     strata proportionally to the triple weights W_h (>= 1 each), Eq 13
     combination for the estimate and MoE."""
     strata = np.asarray(strata)
-    hs = np.unique(strata)
-    subpops = []
-    weights = []
-    for h in hs:
-        mask = strata == h
-        sub = Population(pop.subjects[mask], pop.sizes[mask], pop.taus[mask])
-        subpops.append(sub)
-        weights.append(sub.n_triples)
-    w = np.asarray(weights, dtype=np.float64)
+    masks = [strata == h for h in np.unique(strata)]
+    subpops = [Population(pop.subjects[k], pop.sizes[k], pop.taus[k]) for k in masks]
+    w = np.array([sub.n_triples for sub in subpops], dtype=np.float64)
     w /= w.sum()
+    alloc = np.maximum(1, np.rint(cfg.batch_clusters * w).astype(int))
 
-    means: list[list[float]] = [[] for _ in hs]
+    means: list[list[float]] = [[] for _ in subpops]
     n_triples = 0
-    n_tasks = 0
-    z = z_value(cfg.alpha)
-    while True:
-        alloc = np.maximum(1, np.rint(cfg.batch_clusters * w).astype(int))
+
+    def draw() -> bool:
+        nonlocal n_triples
         for j, sub in enumerate(subpops):
             ci = _pps_draws(sub, int(alloc[j]), rng)
             sizes, taus = sub.sizes[ci], sub.taus[ci]
@@ -221,20 +231,18 @@ def stratified_twcs_trial(
             good = rng.hypergeometric(taus, sizes - taus, s)
             means[j].extend((good / s).tolist())
             n_triples += int(s.sum())
-            n_tasks += len(ci)
-        mu_h = np.array([np.mean(v) for v in means])
-        var_h = np.array(
-            [
-                estimate_cluster_means(np.asarray(v), alpha=cfg.alpha).var_hat
-                for v in means
-            ]
-        )
-        est = combine_stratified(w, mu_h, var_h, cfg.alpha)
-        moe = est.moe
-        if (n_tasks >= cfg.min_draws and moe <= cfg.eps) or n_tasks >= cfg.max_units:
-            break
+        return True
+
+    def estimate() -> Estimate:
+        per = [estimate_cluster_means(np.asarray(v), alpha=cfg.alpha) for v in means]
+        mu = np.array([e.mu_hat for e in per])
+        var = np.array([e.var_hat for e in per])
+        return combine_stratified(w, mu, var, cfg.alpha, n_units=sum(e.n_units for e in per))
+
+    est, _, reason = sample_until(cfg, cfg.min_draws, estimate, draw)
+    n_tasks = est.n_units
     hours = cfg.cost.cost_hours(n_tasks, n_triples)
-    return TrialResult(est.mu_hat, moe, hours, n_tasks, n_triples, n_tasks)
+    return TrialResult(est.mu_hat, est.moe, hours, n_tasks, n_triples, n_tasks, reason)
 
 
 _DESIGNS = {

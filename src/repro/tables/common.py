@@ -32,9 +32,5 @@ def render(title: str, rows: list[dict[str, Any]], columns: list[str]) -> str:
     return f"{title}\n{sep}\n{header}\n{sep}\n{body}\n{sep}"
 
 
-def pct(x: float, digits: int = 1) -> str:
-    return f"{100 * x:.{digits}f}%"
-
-
 def hrs(mean: float, sd: float | None = None) -> str:
     return f"{mean:.2f}" if sd is None else f"{mean:.2f}±{sd:.2f}"

@@ -61,23 +61,21 @@ class TestWeightedDraws:
             cs.weighted_cluster_draws(clusters, 0, seed=1)
 
 
-class TestRandomDraws:
-    def test_without_replacement(self, clusters):
-        draws = cs.random_cluster_draws(clusters, 100, seed=3).toPandas()
-        assert len(draws) == 100
-        assert draws["subject"].nunique() == 100
+def distinct_draws(clusters, n, *, seed):
+    """PPS draws with repeated subjects dropped: one draw per cluster."""
+    return cs.weighted_cluster_draws(clusters, n, seed=seed).dropDuplicates(["subject"])
 
 
 class TestDrawsToTriples:
     def test_full_clusters_recovered(self, spark, nell_df, clusters, nell):
-        draws = cs.random_cluster_draws(clusters, 10, seed=4)
+        draws = distinct_draws(clusters, 10, seed=4)
         triples = cs.draws_to_triples(nell_df, draws).toPandas()
         got = triples.groupby("subject").size().sort_index()
         sizes = pd.Series(nell.sizes, index=nell.subjects())
         assert (got == sizes.reindex(got.index)).all()
 
     def test_oracle_join_equivalence(self, spark, nell_df, clusters, nell):
-        draws = cs.random_cluster_draws(clusters, 8, seed=5)
+        draws = distinct_draws(clusters, 8, seed=5)
         got = (
             cs.draws_to_triples(nell_df, draws)
             .groupBy("subject")
@@ -139,7 +137,3 @@ class TestEstimators:
             cs.estimate_rcs(np.array([]), n_clusters=5, n_triples=10, alpha=0.05).moe
             == float("inf")
         )
-
-    def test_per_draw_means(self):
-        pdf = pd.DataFrame({"draw_id": [0, 0, 1], "label": [1, 0, 1]})
-        assert np.allclose(cs.per_draw_means(pdf), [0.5, 1.0])

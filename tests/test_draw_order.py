@@ -1,0 +1,78 @@
+"""Golden values pinning the random-draw order of the MC and evolving loops.
+
+Each value below is one seeded run's exact output. Any change to the
+order or number of RNG calls in a trial, or in RS/SS initialise and
+apply_update, changes them, and so would every Monte-Carlo table.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.core.cluster_stats import Population
+from repro.core.stratification import np_assign_stratum_by_size, np_cum_sqrt_f_boundaries
+from repro.evolving.reservoir import ReservoirEvaluator
+from repro.evolving.stratified_inc import StratifiedIncrementalEvaluator
+from repro.kg.generator import movie_like, nell_like
+from repro.kg.updates import update_batch
+from repro.sim import mc
+
+# dataclasses.astuple(mc.run_trials(NELL, design, n_trials=3, seed=42, m=3))
+MC = {
+    "srs": ("srs", 0.9159999999999999, 0.031749015732775075, 2.467592592592593, 0.7156273866925177, 133.33333333333334, 38.18813079129867, 133.33333333333334, 38.18813079129867, 3, 0.8824, 0.9393999999999999),
+    "rcs": ("rcs", 0.8945796402840407, 0.008476030052093648, 13.261111111111111, 0.10508851354459413, 472.0, 0.0, 1060.0, 15.132745950421556, 3, 0.8860635410282911, 0.9020370654092766),
+    "wcs": ("wcs", 0.9354629629629629, 0.004167438200173194, 1.5, 0.32102567587017283, 46.666666666666664, 11.547005383792515, 132.0, 25.709920264364882, 3, 0.9314652777777778, 0.9393819444444443),
+    "twcs": ("twcs", 0.9449074074074072, 0.01946097181202194, 1.1712962962962963, 0.5453194735100704, 40.0, 20.0, 96.66666666666667, 42.54801209614068, 3, 0.9296527777777777, 0.9652777777777777),
+    "twcs_stratified": ("twcs_stratified", 0.9273459545990578, 0.033593614361380864, 1.5717592592592593, 0.9011827076868181, 53.333333333333336, 30.550504633038933, 130.33333333333334, 74.80864477674578, 3, 0.9048642114616211, 0.963203813635546),
+}
+
+
+@pytest.fixture(scope="module")
+def nell_pop():
+    return Population.from_synthetic(nell_like())
+
+
+@pytest.fixture(scope="module")
+def base_and_delta():
+    base = Population.from_synthetic(movie_like(sf=0.02, seed=21))
+    delta = Population.from_synthetic(
+        update_batch(n_triples=5000, accuracy=0.9, seed=9, subject_offset=10_000_000)
+    )
+    return base, delta
+
+
+@pytest.mark.parametrize("design", list(MC))
+def test_mc_trials(nell_pop, design):
+    kw = {}
+    if design.startswith("twcs"):
+        kw["m"] = 3
+    if design == "twcs_stratified":
+        kw["strata"] = np_assign_stratum_by_size(
+            nell_pop.sizes, np_cum_sqrt_f_boundaries(nell_pop.sizes, 2)
+        )
+    s = mc.run_trials(nell_pop, design, n_trials=3, seed=42, **kw)
+    assert dataclasses.astuple(s) == MC[design]
+
+
+def test_reservoir(base_and_delta):
+    base, delta = base_and_delta
+    rs, rng = ReservoirEvaluator(m=5), np.random.default_rng(5)
+    ests = [rs.initialise(base, rng), rs.apply_update(delta, rng)]
+    assert [(e.mu_hat, e.var_hat, e.n_units) for e in ests] == [
+        (0.8522222222222221, 0.0006078886796400921, 60),
+        (0.851111111111111, 0.0005935132872985979, 60),
+    ]
+    assert (rs.hours, len(rs.spare), rs.n_insertions) == (2.963888888888889, 6271, 6)
+
+
+def test_stratified_incremental(base_and_delta):
+    base, delta = base_and_delta
+    ss, rng = StratifiedIncrementalEvaluator(m=5), np.random.default_rng(6)
+    ests = [ss.initialise(base, rng), ss.apply_update(delta, rng)]
+    assert [(e.mu_hat, e.var_hat) for e in ests] == [
+        (0.8636363636363638, 0.0005863833136560408),
+        (0.858145886715123, 0.0004895633402733716),
+    ]
+    assert ss.hours == 1.0916666666666666
+    assert [len(st.means) for st in ss.strata] == [22, 2]
+    assert ests[-1].n_units == 24

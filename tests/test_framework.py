@@ -2,7 +2,8 @@
 import pytest
 
 from repro.annotate.annotator import SimulatedAnnotator
-from repro.core.framework import EvalConfig, evaluate_static
+from repro.core.framework import EvalConfig, evaluate_static, sample_until
+from repro.core.stats import Estimate
 from repro.kg.generator import nell_like, yago_like
 
 
@@ -16,10 +17,60 @@ def yago_df(spark):
     return yago_like().to_spark(spark).cache()
 
 
+class FakeSample:
+    """``draw`` adds a batch of units; ``estimate`` reads MoE off a schedule."""
+
+    def __init__(self, moe_after, *, batch=10, population=10**9):
+        self.moe_after, self.batch, self.population = moe_after, batch, population
+        self.n = 0
+
+    def estimate(self):
+        return Estimate(0.9, (self.moe_after(self.n) / 1.959964) ** 2, self.n, 0.05)
+
+    def draw(self):
+        if self.n >= self.population:
+            return False
+        self.n = min(self.n + self.batch, self.population)
+        return True
+
+
+class TestSampleUntil:
+    CFG = EvalConfig(eps=0.05, max_units=100)
+
+    def test_stops_on_moe(self):
+        f = FakeSample(lambda n: 0.2 if n < 30 else 0.04)
+        est, n_batches, reason = sample_until(self.CFG, 20, f.estimate, f.draw)
+        assert (reason, n_batches, est.n_units) == ("moe", 3, 30)
+
+    def test_min_units_guard(self):
+        """A small MoE does not stop the loop before min_units units."""
+        f = FakeSample(lambda n: 0.0)
+        est, n_batches, reason = sample_until(self.CFG, 45, f.estimate, f.draw)
+        assert (reason, n_batches, est.n_units) == ("moe", 5, 50)
+
+    def test_stops_at_max_units(self):
+        f = FakeSample(lambda n: 0.2)
+        est, n_batches, reason = sample_until(self.CFG, 20, f.estimate, f.draw)
+        assert (reason, n_batches, est.n_units) == ("max_units", 10, 100)
+
+    def test_stops_when_population_exhausted(self):
+        f = FakeSample(lambda n: 0.2, population=25)
+        est, n_batches, reason = sample_until(self.CFG, 20, f.estimate, f.draw)
+        assert (reason, n_batches, est.n_units) == ("exhausted", 3, 25)
+
+    def test_estimates_before_drawing(self):
+        """A sample that already meets the rule draws nothing."""
+        f = FakeSample(lambda n: 0.0)
+        f.n = 20
+        est, n_batches, reason = sample_until(self.CFG, 20, f.estimate, f.draw)
+        assert (reason, n_batches, est.n_units) == ("moe", 0, 20)
+
+
 class TestStoppingRule:
     @pytest.mark.parametrize("design,m", [("srs", None), ("twcs", 3), ("wcs", None)])
     def test_stops_at_moe_threshold(self, nell_df, design, m):
         res = evaluate_static(nell_df, design=design, m=m, seed=11)
+        assert res.stop_reason == "moe"
         assert res.estimate.moe <= 0.05
 
     def test_wider_eps_needs_fewer_samples(self, nell_df):
@@ -82,5 +133,6 @@ class TestCensusEdgeCase:
         )
         df = kg.to_spark(spark)
         res = evaluate_static(df, design="srs", seed=17)
+        assert res.stop_reason == "exhausted"
         assert res.n_triples == 6
         assert res.estimate.mu_hat == pytest.approx(4 / 6)

@@ -41,11 +41,13 @@ class TestSrsTrial:
 
     def test_stops_at_threshold(self, nell_pop, rng):
         t = mc.srs_trial(nell_pop, rng, CFG)
+        assert t.stop_reason == "moe"
         assert t.moe <= CFG.eps
 
     def test_census_on_tiny_population(self, rng):
         pop = Population(np.arange(3), np.array([2, 2, 2]), np.array([2, 1, 0]))
         t = mc.srs_trial(pop, rng, CFG)
+        assert t.stop_reason == "exhausted"
         assert t.n_triples == 6
         assert t.mu_hat == pytest.approx(0.5)
 
@@ -101,6 +103,10 @@ class TestRcsTrial:
     def test_draws_bounded_by_population(self, nell_pop, rng):
         t = mc.rcs_trial(nell_pop, rng, CFG)
         assert t.n_draws <= nell_pop.n_clusters
+        tiny = Population(np.arange(3), np.array([2, 2, 2]), np.array([2, 1, 0]))
+        t = mc.rcs_trial(tiny, rng, CFG)
+        assert t.stop_reason == "exhausted"
+        assert (t.n_draws, t.n_triples, t.mu_hat) == (3, 6, pytest.approx(0.5))
 
 
 class TestStratifiedTrial:
@@ -152,8 +158,8 @@ class TestDesignOrdering:
 class TestSummary:
     def test_from_trials_statistics(self):
         trials = [
-            mc.TrialResult(0.8, 0.05, 1.0, 10, 20, 10),
-            mc.TrialResult(0.9, 0.05, 2.0, 20, 40, 20),
+            mc.TrialResult(0.8, 0.05, 1.0, 10, 20, 10, "moe"),
+            mc.TrialResult(0.9, 0.05, 2.0, 20, 40, 20, "moe"),
         ]
         s = mc.TrialsSummary.from_trials("x", trials)
         assert s.mu_mean == pytest.approx(0.85)

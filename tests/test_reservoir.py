@@ -4,13 +4,8 @@ import pytest
 
 from repro.core.cluster_stats import Population, cluster_stats_df
 from repro.core.framework import EvalConfig
-from repro.evolving.reservoir import (
-    ReservoirEvaluator,
-    merge_reservoir,
-    top_reservoir,
-    with_reservoir_keys,
-)
-from repro.kg.generator import movie_like, nell_like
+from repro.evolving.reservoir import ReservoirEvaluator
+from repro.kg.generator import movie_like
 from repro.kg.updates import update_batch
 
 
@@ -27,35 +22,6 @@ def delta_pop():
 
 
 class TestSparkReservoir:
-    def test_keys_in_unit_interval(self, spark):
-        cl = cluster_stats_df(nell_like().to_spark(spark))
-        keys = with_reservoir_keys(cl, seed=1).toPandas()["res_key"]
-        assert ((keys >= 0) & (keys <= 1)).all()
-
-    def test_top_reservoir_size_and_ordering(self, spark):
-        cl = with_reservoir_keys(cluster_stats_df(nell_like().to_spark(spark)), seed=2)
-        top = top_reservoir(cl, 25).toPandas()
-        assert len(top) == 25
-        rest_max = (
-            cl.toPandas().nlargest(26, "res_key")["res_key"].iloc[25]
-        )
-        assert top["res_key"].min() >= rest_max
-
-    def test_merge_equals_full_recompute(self, spark):
-        """top-n is associative: incremental merge == one-shot top-n."""
-        base = with_reservoir_keys(
-            cluster_stats_df(nell_like().to_spark(spark)), seed=3
-        ).cache()
-        delta_kg = update_batch(
-            n_triples=400, accuracy=0.8, seed=4, subject_offset=1_000_000
-        )
-        delta = cluster_stats_df(delta_kg.to_spark(spark))
-        inc = merge_reservoir(top_reservoir(base, 20), delta, 20, seed=5).toPandas()
-        full = top_reservoir(
-            base.unionByName(with_reservoir_keys(delta, seed=5)), 20
-        ).toPandas()
-        assert set(inc["subject"]) == set(full["subject"])
-
     def test_weighted_inclusion_favours_large_clusters(self, spark):
         """P(cluster in reservoir) increases with M_i under A-Res keys."""
         cl = cluster_stats_df(movie_like(sf=0.005, seed=33).to_spark(spark)).toPandas()

@@ -4,14 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.stats import (
-    Estimate,
-    cluster_moe,
-    cluster_var_hat,
-    combine_stratified,
-    srs_moe,
-    z_value,
-)
+from repro.core.cluster_sampling import estimate_cluster_means
+from repro.core.srs import estimate_srs
+from repro.core.stats import Estimate, cluster_var_hat, combine_stratified, z_value
+
+
+def srs_moe(mu_hat: float, n: int) -> float:
+    """MoE of ``estimate_srs`` on n labels whose mean is ``mu_hat``."""
+    k = round(mu_hat * n)
+    return estimate_srs(np.r_[np.ones(k), np.zeros(n - k)], alpha=0.05).moe
+
+
+def cluster_moe(v: np.ndarray) -> float:
+    return estimate_cluster_means(v, alpha=0.05).moe
 
 
 class TestZValue:
@@ -34,19 +39,19 @@ class TestZValue:
 class TestSrsMoe:
     def test_matches_closed_form(self):
         # MoE = z * sqrt(p(1-p)/n) from Sec 5.1.
-        assert srs_moe(0.9, 100, 0.05) == pytest.approx(
+        assert srs_moe(0.9, 100) == pytest.approx(
             1.959964 * math.sqrt(0.09 / 100), abs=1e-9
         )
 
     def test_zero_variance_at_extremes(self):
-        assert srs_moe(1.0, 50, 0.05) == 0.0
-        assert srs_moe(0.0, 50, 0.05) == 0.0
+        assert srs_moe(1.0, 50) == 0.0
+        assert srs_moe(0.0, 50) == 0.0
 
     def test_infinite_for_empty_sample(self):
-        assert srs_moe(0.5, 0, 0.05) == float("inf")
+        assert srs_moe(0.5, 0) == float("inf")
 
     def test_shrinks_with_n(self):
-        assert srs_moe(0.5, 400, 0.05) == pytest.approx(srs_moe(0.5, 100, 0.05) / 2)
+        assert srs_moe(0.5, 400) == pytest.approx(srs_moe(0.5, 100) / 2)
 
 
 class TestClusterMoe:
@@ -54,17 +59,17 @@ class TestClusterMoe:
         v = np.array([0.8, 0.9, 1.0, 0.7])
         n = 4
         s2 = ((v - v.mean()) ** 2).sum() / (n * (n - 1))
-        assert cluster_moe(v, 0.05) == pytest.approx(1.959964 * math.sqrt(s2))
+        assert cluster_moe(v) == pytest.approx(1.959964 * math.sqrt(s2))
 
     def test_identical_draws_give_zero(self):
-        assert cluster_moe(np.array([0.9, 0.9, 0.9]), 0.05) == 0.0
+        assert cluster_moe(np.array([0.9, 0.9, 0.9])) == 0.0
 
     def test_single_draw_is_infinite(self):
-        assert cluster_moe(np.array([0.9]), 0.05) == float("inf")
+        assert cluster_moe(np.array([0.9])) == float("inf")
 
     def test_var_hat_consistent_with_moe(self):
         v = np.array([0.2, 0.5, 0.9, 0.4, 0.6])
-        assert cluster_moe(v, 0.05) == pytest.approx(
+        assert cluster_moe(v) == pytest.approx(
             1.959964 * math.sqrt(cluster_var_hat(v))
         )
 
@@ -84,23 +89,28 @@ class TestEstimate:
 class TestCombineStratified:
     def test_weighted_mean_and_variance(self):
         e = combine_stratified(
-            np.array([0.6, 0.4]), np.array([0.9, 0.7]), np.array([1e-4, 4e-4]), 0.05
+            np.array([0.6, 0.4]), np.array([0.9, 0.7]), np.array([1e-4, 4e-4]), 0.05,
+            n_units=7,
         )
+        assert e.n_units == 7
         assert e.mu_hat == pytest.approx(0.6 * 0.9 + 0.4 * 0.7)
         assert e.var_hat == pytest.approx(0.36 * 1e-4 + 0.16 * 4e-4)
 
     def test_single_stratum_degenerates_to_plain(self):
-        e = combine_stratified(np.array([1.0]), np.array([0.8]), np.array([1e-4]), 0.05)
+        e = combine_stratified(
+            np.array([1.0]), np.array([0.8]), np.array([1e-4]), 0.05, n_units=3
+        )
         assert e.mu_hat == 0.8 and e.var_hat == pytest.approx(1e-4)
 
     def test_rejects_unnormalised_weights(self):
         with pytest.raises(ValueError):
             combine_stratified(
-                np.array([0.5, 0.4]), np.array([0.9, 0.7]), np.array([0.0, 0.0]), 0.05
+                np.array([0.5, 0.4]), np.array([0.9, 0.7]), np.array([0.0, 0.0]), 0.05,
+                n_units=4,
             )
 
     def test_rejects_misaligned_shapes(self):
         with pytest.raises(ValueError):
             combine_stratified(
-                np.array([0.5, 0.5]), np.array([0.9]), np.array([0.0]), 0.05
+                np.array([0.5, 0.5]), np.array([0.9]), np.array([0.0]), 0.05, n_units=2
             )
