@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.cost import CostLedger, CostParams
+from repro.core.cost import CostLedger
 
 
 @dataclass
@@ -24,10 +24,6 @@ class SimulatedAnnotator:
     """Reveals gold labels of sampled triples and accounts their cost."""
 
     ledger: CostLedger = field(default_factory=CostLedger)
-
-    @classmethod
-    def with_params(cls, params: CostParams) -> "SimulatedAnnotator":
-        return cls(ledger=CostLedger(params=params))
 
     def annotate_tasks(self, sample: DataFrame | pd.DataFrame) -> pd.DataFrame:
         """Annotate a cluster-design sample: one Task per ``draw_id``.

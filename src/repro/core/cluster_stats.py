@@ -82,3 +82,14 @@ class Population:
     def from_synthetic(cls, kg) -> "Population":
         """Directly from a SyntheticKG (bypasses triple materialisation)."""
         return cls(subjects=kg.subjects(), sizes=kg.sizes.copy(), taus=kg.taus.copy())
+
+    @classmethod
+    def concat(cls, pops: list["Population"]) -> "Population":
+        """The evolved KG G + Delta^1 + ... as one cluster population."""
+        if not pops:
+            raise ValueError("need at least one population")
+        return cls(
+            subjects=np.concatenate([p.subjects for p in pops]),
+            sizes=np.concatenate([p.sizes for p in pops]),
+            taus=np.concatenate([p.taus for p in pops]),
+        )

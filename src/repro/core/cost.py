@@ -40,7 +40,7 @@ DEFAULT_COST = CostParams()
 class CostLedger:
     """Accumulates annotation effort across the iterative framework.
 
-    ``charge_task(subject, n_triples)`` records one Evaluation Task: a
+    ``charge_task(n_triples)`` records one Evaluation Task: a
     per-draw entity identification plus its triples. ``charge_srs_batch``
     records an SRS batch, charging identification only for subjects not
     seen in *any* earlier batch (the sample pool groups by subject).

@@ -28,7 +28,7 @@ The stopping rule trusts the Normal-approximation MoE only after
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,6 @@ from pyspark.sql import functions as F
 from repro.annotate.annotator import SimulatedAnnotator
 from repro.core import cluster_sampling as cs
 from repro.core.cluster_stats import cluster_stats_df
-from repro.core.cost import CostParams
 from repro.core.srs import estimate_srs, srs_sample
 from repro.core.stats import Estimate
 
@@ -53,7 +52,6 @@ class EvalConfig:
     min_triples: int = 25  # SRS units before the Normal MoE is trusted
     min_draws: int = 20  # cluster draws before the Normal MoE is trusted
     max_units: int = 100_000  # hard safety stop
-    cost: CostParams = field(default_factory=CostParams)
 
 
 @dataclass
@@ -121,7 +119,7 @@ def evaluate_static(
         raise ValueError(f"unknown design {design!r}")
     if design == "twcs" and (m is None or m < 1):
         raise ValueError("twcs requires m >= 1")
-    ann = annotator or SimulatedAnnotator.with_params(config.cost)
+    ann = annotator or SimulatedAnnotator()
 
     if design == "srs":
         return _run_srs(kg, config=config, seed=seed, ann=ann)

@@ -65,28 +65,22 @@ class Estimate:
         return (self.mu_hat - m, self.mu_hat + m)
 
 
-def combine_stratified(
-    weights: np.ndarray,
-    mu_hats: np.ndarray,
-    var_hats: np.ndarray,
-    alpha: float,
-    *,
-    n_units: int,
-) -> Estimate:
+def combine_stratified(weights: np.ndarray, per_stratum: list[Estimate]) -> Estimate:
     """Stratified combination (Eq 13): mu = sum W_h mu_h, var = sum W_h^2 var_h.
 
-    ``n_units`` is the draw count over all strata.
+    ``n_units`` is the draw count over all strata; ``alpha`` is the
+    strata's common one.
     """
     w = np.asarray(weights, dtype=np.float64)
-    mu = np.asarray(mu_hats, dtype=np.float64)
-    v = np.asarray(var_hats, dtype=np.float64)
-    if not (w.shape == mu.shape == v.shape):
-        raise ValueError("weights, mu_hats, var_hats must align")
+    if w.shape != (len(per_stratum),):
+        raise ValueError("need one weight per stratum")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError(f"strata weights must sum to 1, got {w.sum()}")
+    mu = np.array([e.mu_hat for e in per_stratum])
+    var = np.array([e.var_hat for e in per_stratum])
     return Estimate(
         mu_hat=float(np.dot(w, mu)),
-        var_hat=float(np.dot(w**2, v)),
-        n_units=n_units,
-        alpha=alpha,
+        var_hat=float(np.dot(w**2, var)),
+        n_units=sum(e.n_units for e in per_stratum),
+        alpha=per_stratum[0].alpha,
     )

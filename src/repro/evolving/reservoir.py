@@ -9,14 +9,15 @@ smallest-key replacement loop: because top-n is associative,
 compares Delta's keys against the reservoir.
 
 The evaluator follows the paper: the reservoir is *used as* the TWCS
-first-stage sample (per-cluster second-stage SRS of <= m triples), the
-estimate is the Eq 9 mean-of-cluster-means, and when an update pushes
-the MoE above eps the static loop tops the reservoir up with further
-clusters (Sec 6.1's "run Static Evaluation on G + Delta"), through the
-shared Fig 2 loop ``core.framework.sample_until``. A-Res draws
-clusters PPS *without* replacement while Hansen-Hurwitz assumes
-with-replacement draws; with |R| << N the distinction is negligible and
-the paper adopts the same approximation.
+first-stage sample (per-cluster second-stage SRS of <= m triples, the MC
+layer's ``second_stage``), the estimate is the Eq 9
+mean-of-cluster-means, and when an update pushes the MoE above eps the
+static loop tops the reservoir up with further clusters (Sec 6.1's "run
+Static Evaluation on G + Delta"), through the shared Fig 2 loop
+``core.framework.sample_until``. A-Res draws clusters PPS *without*
+replacement while Hansen-Hurwitz assumes with-replacement draws; with
+|R| << N the distinction is negligible and the paper adopts the same
+approximation.
 
 Cost accounting: annotation is charged only for clusters *entering* the
 reservoir (initial fill, replacements, top-ups); annotations of evicted
@@ -34,6 +35,7 @@ from repro.core.cost import CostLedger
 from repro.core.framework import EvalConfig, sample_until
 from repro.core.cluster_sampling import estimate_cluster_means
 from repro.core.stats import Estimate
+from repro.sim.mc import second_stage
 
 
 @dataclass
@@ -67,10 +69,9 @@ class ReservoirEvaluator:
     _counter: int = 0
 
     def _annotate(self, key: float, subject: int, size: int, tau: int, rng) -> _Member:
-        s = min(size, self.m)
-        good = int(rng.hypergeometric(tau, size - tau, s))
-        self.ledger.charge_task(s)
-        return _Member(key, subject, size, tau, good / s, s)
+        s, good = second_stage(size, tau, self.m, rng)
+        self.ledger.charge_task(int(s))
+        return _Member(key, subject, size, tau, float(good / s), int(s))
 
     def _push(self, mb: _Member) -> None:
         self._counter += 1

@@ -9,7 +9,8 @@ fault-tolerance trade-off, which tests reproduce).
 
 Per Algorithm 2, after an update only the newest stratum is sampled:
 draw TWCS batches on Delta until the *combined* MoE is back under eps,
-through the shared Fig 2 loop ``core.framework.sample_until``.
+through the shared Fig 2 loop ``core.framework.sample_until``, with the
+MC layer's PPS draw and ``second_stage``, and Eq 13 as in the MC trial.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from repro.core.cost import CostLedger
 from repro.core.framework import EvalConfig, sample_until
 from repro.core.cluster_sampling import estimate_cluster_means
 from repro.core.stats import Estimate, combine_stratified
-from repro.sim.mc import _pps_draws
+from repro.sim.mc import _pps_draws, second_stage
 
 # Incremental batches on Delta are finer than the static loop's: each
 # new stratum usually needs only a handful of draws to pull the
@@ -48,9 +49,7 @@ class StratifiedIncrementalEvaluator:
 
     def _draw_batch(self, st: _Stratum, k: int, rng: np.random.Generator) -> None:
         ci = _pps_draws(st.pop, k, rng)
-        sizes, taus = st.pop.sizes[ci], st.pop.taus[ci]
-        s = np.minimum(sizes, self.m)
-        good = rng.hypergeometric(taus, sizes - taus, s)
+        s, good = second_stage(st.pop.sizes[ci], st.pop.taus[ci], self.m, rng)
         st.means.extend((good / s).tolist())
         for si in s:
             self.ledger.charge_task(int(si))
@@ -60,9 +59,7 @@ class StratifiedIncrementalEvaluator:
         w /= w.sum()
         alpha = self.cfg.alpha
         per = [estimate_cluster_means(np.asarray(st.means), alpha=alpha) for st in self.strata]
-        mu = np.array([e.mu_hat for e in per])
-        var = np.array([e.var_hat for e in per])
-        return combine_stratified(w, mu, var, alpha, n_units=sum(e.n_units for e in per))
+        return combine_stratified(w, per)
 
     def _sample_until_converged(
         self, st: _Stratum, rng: np.random.Generator, batch: int

@@ -11,7 +11,11 @@ aggregated once by Spark — so the repetition layer runs in numpy:
 - a PPS cluster draw is searchsorted of u*M over the same cumsum
   (identical to the range join in core.cluster_sampling);
 - a TWCS second-stage sample of s=min(M_i, m) triples without
-  replacement has Hypergeometric(tau_i, M_i - tau_i, s) correct triples.
+  replacement has Hypergeometric(tau_i, M_i - tau_i, s) correct triples
+  (``second_stage``, shared with RS and SS).
+
+WCS is TWCS whose cap never binds (Sec 5.2), TWCS is stratified TWCS
+with one stratum (Eq 13, W_1 = 1), and ``_twcs_loop`` runs all three.
 
 Every trial runs the same Fig 2 loop and stopping rule as the Spark
 layer (``core.framework.sample_until``) under the same ``EvalConfig``
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.cluster_stats import Population
+from repro.core.cost import DEFAULT_COST
 from repro.core.framework import EvalConfig, sample_until
 from repro.core.srs import estimate_srs
 from repro.core.stats import Estimate, combine_stratified
@@ -114,7 +119,7 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
         draw,
     )
     n = est.n_units
-    hours = cfg.cost.cost_hours(len(clusters_seen), n)
+    hours = DEFAULT_COST.cost_hours(len(clusters_seen), n)
     return TrialResult(est.mu_hat, est.moe, hours, n, n, len(clusters_seen), reason)
 
 
@@ -125,41 +130,52 @@ def _pps_draws(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.searchsorted(cum, u, side="right")
 
 
-def twcs_trial(
-    pop: Population,
-    m: int,
-    rng: np.random.Generator,
-    cfg: EvalConfig,
-    *,
-    wcs: bool = False,
+def second_stage(
+    sizes: np.ndarray, taus: np.ndarray, m: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """TWCS second stage of drawn clusters: s = min(M_i, m) triples without
+    replacement, of which good ~ Hypergeometric(tau_i, M_i - tau_i, s)."""
+    s = np.minimum(sizes, m)
+    return s, rng.hypergeometric(taus, sizes - taus, s)
+
+
+def _twcs_loop(
+    strata: list[Population], w: np.ndarray, m: int, rng: np.random.Generator, cfg: EvalConfig
 ) -> TrialResult:
-    """Iterative TWCS (or WCS when ``wcs=True``: full-cluster annotation)."""
-    means: list[float] = []
+    """Iterative stratified TWCS (Sec 5.3) over ``strata`` with triple
+    weights ``w``: per-batch draws allocated to strata proportionally to
+    W_h (>= 1 each), Eq 13 combination for the estimate and MoE."""
+    alloc = np.maximum(1, np.rint(cfg.batch_clusters * w).astype(int))
+    means: list[list[float]] = [[] for _ in strata]
     n_triples = 0
 
     def draw() -> bool:
         nonlocal n_triples
-        ci = _pps_draws(pop, cfg.batch_clusters, rng)
-        sizes, taus = pop.sizes[ci], pop.taus[ci]
-        s = sizes if wcs else np.minimum(sizes, m)
-        good = rng.hypergeometric(taus, sizes - taus, s)
-        means.extend((good / s).tolist())
-        n_triples += int(s.sum())
+        for j, sub in enumerate(strata):
+            ci = _pps_draws(sub, int(alloc[j]), rng)
+            s, good = second_stage(sub.sizes[ci], sub.taus[ci], m, rng)
+            means[j].extend((good / s).tolist())
+            n_triples += int(s.sum())
         return True
 
-    est, _, reason = sample_until(
-        cfg,
-        cfg.min_draws,
-        lambda: estimate_cluster_means(np.asarray(means), alpha=cfg.alpha),
-        draw,
-    )
+    def estimate() -> Estimate:
+        per = [estimate_cluster_means(np.asarray(v), alpha=cfg.alpha) for v in means]
+        return combine_stratified(w, per)
+
+    est, _, reason = sample_until(cfg, cfg.min_draws, estimate, draw)
     n_tasks = est.n_units
-    hours = cfg.cost.cost_hours(n_tasks, n_triples)
+    hours = DEFAULT_COST.cost_hours(n_tasks, n_triples)
     return TrialResult(est.mu_hat, est.moe, hours, n_tasks, n_triples, n_tasks, reason)
 
 
+def twcs_trial(pop: Population, m: int, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
+    """Iterative TWCS: stratified TWCS with one stratum (W_1 = 1)."""
+    return _twcs_loop([pop], np.ones(1), m, rng, cfg)
+
+
 def wcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
-    return twcs_trial(pop, 1, rng, cfg, wcs=True)
+    """Iterative WCS: TWCS with a cap no cluster reaches (full-cluster annotation)."""
+    return twcs_trial(pop, np.iinfo(np.int64).max, rng, cfg)
 
 
 def rcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
@@ -198,7 +214,7 @@ def rcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
         draw,
     )
     n_drawn = est.n_units
-    hours = cfg.cost.cost_hours(n_drawn, n_triples)
+    hours = DEFAULT_COST.cost_hours(n_drawn, n_triples)
     return TrialResult(est.mu_hat, est.moe, hours, n_drawn, n_triples, n_drawn, reason)
 
 
@@ -209,40 +225,12 @@ def stratified_twcs_trial(
     rng: np.random.Generator,
     cfg: EvalConfig,
 ) -> TrialResult:
-    """Iterative stratified TWCS (Sec 5.3): per-batch draws allocated to
-    strata proportionally to the triple weights W_h (>= 1 each), Eq 13
-    combination for the estimate and MoE."""
+    """Iterative stratified TWCS: ``pop`` split by its stratum labels."""
     strata = np.asarray(strata)
     masks = [strata == h for h in np.unique(strata)]
     subpops = [Population(pop.subjects[k], pop.sizes[k], pop.taus[k]) for k in masks]
     w = np.array([sub.n_triples for sub in subpops], dtype=np.float64)
-    w /= w.sum()
-    alloc = np.maximum(1, np.rint(cfg.batch_clusters * w).astype(int))
-
-    means: list[list[float]] = [[] for _ in subpops]
-    n_triples = 0
-
-    def draw() -> bool:
-        nonlocal n_triples
-        for j, sub in enumerate(subpops):
-            ci = _pps_draws(sub, int(alloc[j]), rng)
-            sizes, taus = sub.sizes[ci], sub.taus[ci]
-            s = np.minimum(sizes, m)
-            good = rng.hypergeometric(taus, sizes - taus, s)
-            means[j].extend((good / s).tolist())
-            n_triples += int(s.sum())
-        return True
-
-    def estimate() -> Estimate:
-        per = [estimate_cluster_means(np.asarray(v), alpha=cfg.alpha) for v in means]
-        mu = np.array([e.mu_hat for e in per])
-        var = np.array([e.var_hat for e in per])
-        return combine_stratified(w, mu, var, cfg.alpha, n_units=sum(e.n_units for e in per))
-
-    est, _, reason = sample_until(cfg, cfg.min_draws, estimate, draw)
-    n_tasks = est.n_units
-    hours = cfg.cost.cost_hours(n_tasks, n_triples)
-    return TrialResult(est.mu_hat, est.moe, hours, n_tasks, n_triples, n_tasks, reason)
+    return _twcs_loop(subpops, w / w.sum(), m, rng, cfg)
 
 
 _DESIGNS = {

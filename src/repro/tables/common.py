@@ -30,7 +30,3 @@ def render(title: str, rows: list[dict[str, Any]], columns: list[str]) -> str:
         "  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns) for r in rows
     )
     return f"{title}\n{sep}\n{header}\n{sep}\n{body}\n{sep}"
-
-
-def hrs(mean: float, sd: float | None = None) -> str:
-    return f"{mean:.2f}" if sd is None else f"{mean:.2f}±{sd:.2f}"

@@ -20,11 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cluster_stats import Population
-from repro.evolving.baseline import baseline_snapshot_eval
+from repro.core.framework import EvalConfig
 from repro.evolving.reservoir import ReservoirEvaluator
 from repro.evolving.stratified_inc import StratifiedIncrementalEvaluator
 from repro.kg.generator import movie_like
 from repro.kg.updates import update_batch, update_sequence
+from repro.sim import mc
 from repro.tables.common import n_trials, render
 
 
@@ -73,8 +74,10 @@ def single_batch_rows(
             h["SS"].append(ss.hours - h0)
             mu["SS"].append(e.mu_hat)
 
+            # Baseline (Sec 7.1.4): discard all annotations, static TWCS on G + Delta.
             rng = np.random.default_rng(seed + k)
-            h["Baseline"].append(baseline_snapshot_eval([base, delta], m, rng).hours)
+            snapshot = Population.concat([base, delta])
+            h["Baseline"].append(mc.twcs_trial(snapshot, m, rng, EvalConfig()).hours)
         rows.append(
             {
                 "experiment": f"vary {tag}",

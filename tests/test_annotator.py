@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.annotate.annotator import SimulatedAnnotator
-from repro.core.cost import CostParams
+from repro.core.cost import CostLedger, CostParams
 
 
 def _task_sample():
@@ -29,7 +29,7 @@ class TestAnnotateTasks:
         assert ann.ledger.n_validations == 5
 
     def test_custom_cost_params(self):
-        ann = SimulatedAnnotator.with_params(CostParams(c1=100, c2=0))
+        ann = SimulatedAnnotator(ledger=CostLedger(params=CostParams(c1=100, c2=0)))
         ann.annotate_tasks(_task_sample())
         assert ann.hours == pytest.approx(200 / 3600)
 

@@ -119,7 +119,8 @@ class TestValidation:
 
 
 class TestCensusEdgeCase:
-    def test_tiny_kg_srs_census_terminates(self, spark):
+    @pytest.mark.parametrize("design", ["srs", "rcs"])
+    def test_tiny_kg_census_terminates(self, spark, design):
         """A KG smaller than one batch must end with a full census."""
         from repro.kg.generator import SyntheticKG
         import numpy as np
@@ -132,7 +133,9 @@ class TestCensusEdgeCase:
             0,
         )
         df = kg.to_spark(spark)
-        res = evaluate_static(df, design="srs", seed=17)
+        res = evaluate_static(df, design=design, seed=17)
         assert res.stop_reason == "exhausted"
         assert res.n_triples == 6
         assert res.estimate.mu_hat == pytest.approx(4 / 6)
+        if design == "rcs":
+            assert res.n_draws == 3  # every cluster once

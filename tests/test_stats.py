@@ -86,31 +86,25 @@ class TestEstimate:
         assert e.moe == float("inf")
 
 
+def _strata(mu_hats, var_hats, n_units, alpha=0.05):
+    return [Estimate(mu, var, n, alpha) for mu, var, n in zip(mu_hats, var_hats, n_units)]
+
+
 class TestCombineStratified:
     def test_weighted_mean_and_variance(self):
-        e = combine_stratified(
-            np.array([0.6, 0.4]), np.array([0.9, 0.7]), np.array([1e-4, 4e-4]), 0.05,
-            n_units=7,
-        )
-        assert e.n_units == 7
+        e = combine_stratified(np.array([0.6, 0.4]), _strata([0.9, 0.7], [1e-4, 4e-4], [3, 4]))
+        assert e.n_units == 7 and e.alpha == 0.05
         assert e.mu_hat == pytest.approx(0.6 * 0.9 + 0.4 * 0.7)
         assert e.var_hat == pytest.approx(0.36 * 1e-4 + 0.16 * 4e-4)
 
     def test_single_stratum_degenerates_to_plain(self):
-        e = combine_stratified(
-            np.array([1.0]), np.array([0.8]), np.array([1e-4]), 0.05, n_units=3
-        )
+        e = combine_stratified(np.array([1.0]), _strata([0.8], [1e-4], [3]))
         assert e.mu_hat == 0.8 and e.var_hat == pytest.approx(1e-4)
 
     def test_rejects_unnormalised_weights(self):
         with pytest.raises(ValueError):
-            combine_stratified(
-                np.array([0.5, 0.4]), np.array([0.9, 0.7]), np.array([0.0, 0.0]), 0.05,
-                n_units=4,
-            )
+            combine_stratified(np.array([0.5, 0.4]), _strata([0.9, 0.7], [0.0, 0.0], [2, 2]))
 
     def test_rejects_misaligned_shapes(self):
         with pytest.raises(ValueError):
-            combine_stratified(
-                np.array([0.5, 0.5]), np.array([0.9]), np.array([0.0]), 0.05, n_units=2
-            )
+            combine_stratified(np.array([0.5, 0.5]), _strata([0.9], [0.0], [2]))

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from repro.core.cluster_stats import Population
-from repro.evolving.baseline import baseline_snapshot_eval, concat_populations
+from repro.core.framework import EvalConfig
 from repro.evolving.stratified_inc import StratifiedIncrementalEvaluator
 from repro.kg.generator import movie_like
 from repro.kg.updates import update_batch, update_sequence
+from repro.sim import mc
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,8 @@ class TestAlgorithm2:
             ev.apply_update(delta_pop, rng)
             inc.append(ev.hours - h0)
             rng = np.random.default_rng(10 + t)
-            fresh.append(baseline_snapshot_eval([base_pop, delta_pop], 5, rng).hours)
+            snapshot = Population.concat([base_pop, delta_pop])
+            fresh.append(mc.twcs_trial(snapshot, 5, rng, EvalConfig()).hours)
         assert np.mean(inc) < 0.5 * np.mean(fresh)
 
     def test_estimates_unbiased_over_trials(self, base_pop, delta_pop):
@@ -131,7 +133,7 @@ class TestFaultToleranceTradeoff:
                 ss_est = ss.apply_update(d, rng_s).mu_hat
             rs_final.append(rs_est)
             ss_final.append(ss_est)
-        truth = concat_populations([base_pop, *deltas]).mu
+        truth = Population.concat([base_pop, *deltas]).mu
         assert np.std(rs_final) > np.std(ss_final)
         assert abs(max(rs_final) - truth) < abs(max(ss_final) - truth)
         # And both have shed a large part of the initial corruption.
@@ -141,10 +143,10 @@ class TestFaultToleranceTradeoff:
 
 class TestConcat:
     def test_concat_populations(self, base_pop, delta_pop):
-        c = concat_populations([base_pop, delta_pop])
+        c = Population.concat([base_pop, delta_pop])
         assert c.n_triples == base_pop.n_triples + delta_pop.n_triples
         assert c.n_clusters == base_pop.n_clusters + delta_pop.n_clusters
 
     def test_concat_empty_rejected(self):
         with pytest.raises(ValueError):
-            concat_populations([])
+            Population.concat([])
