@@ -1,91 +1,90 @@
 """Cluster sampling designs: RCS, WCS, TWCS (Sec 5.2).
 
-All samplers are DataFrame->DataFrame transformations over
+A cluster design draws in the driver, from the cluster sizes M_i that
+the evaluation collects once (``subject``, ``size`` of the cluster-stats
+table of :mod:`repro.core.cluster_stats`, sorted by subject); Spark only
+fetches the drawn clusters' triples. A sample therefore depends only on
+(seed, KG content), not on partition layout or shuffle settings.
 
-- ``clusters``: the cluster-stats DataFrame (subject, size, tau) from
-  :mod:`repro.core.cluster_stats`, and
-- ``kg``: the triple-level DataFrame (subject, predicate, object, label).
-
-Samples come back with a ``draw_id`` column identifying the primary
-sampling unit (one Evaluation Task per draw), since WCS/TWCS draw
-clusters *with replacement* and a cluster may appear in several draws.
-
-PPS draws (probability proportional to cluster size, pi_i = M_i / M) are
-implemented distributively: a single-pass window cumulative sum over the
-cluster-stats table assigns each cluster the interval
-[cum_start, cum_start + M_i), and a small DataFrame of n uniform draws
-in [0, M) is range-joined against those intervals (the draws side is
-broadcast, so this is one scan of the cluster table). This is exactly
-"pick a uniform random triple, take its cluster".
+- ``weighted_cluster_draws``: PPS with replacement (pi_i = M_i / M), a
+  uniform u in [0, M) mapped to its cluster by searchsorted over the
+  size cumsum, i.e. "pick a uniform random triple, take its cluster".
+  It is also the Monte-Carlo layer's kernel (``repro.sim.mc._pps_draws``).
+- ``draws_to_triples``: one filtered KG scan returning the drawn
+  clusters' triples (subject, predicate, object, label) in a fixed order.
+- ``second_stage_sample``: one ``draw_id`` per draw, the primary
+  sampling unit (one Evaluation Task each), since WCS/TWCS draw with
+  replacement and a cluster may appear in several draws. Each draw keeps
+  all its triples (RCS/WCS) or, for TWCS, min(M_i, m) of them without
+  replacement, picked by position and never by label.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, Window
+import pandas as pd
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.stats import Estimate, cluster_var_hat
 
 
-def _with_intervals(clusters: DataFrame) -> DataFrame:
-    """Attach [cum_start, cum_end) triple-count intervals per cluster."""
-    w = Window.orderBy("subject").rowsBetween(Window.unboundedPreceding, Window.currentRow)
-    return clusters.withColumn("cum_end", F.sum("size").over(w)).withColumn(
-        "cum_start", F.col("cum_end") - F.col("size")
-    )
-
-
-def weighted_cluster_draws(
-    clusters: DataFrame, n: int, *, seed: int, draw_id_offset: int = 0
-) -> DataFrame:
-    """n PPS-with-replacement cluster draws: (draw_id, subject, size, tau).
+def weighted_cluster_draws(sizes: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k PPS-with-replacement cluster indices into ``sizes``.
 
     Hansen-Hurwitz design: each draw independently selects cluster i
     with probability M_i / M.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    spark = clusters.sparkSession
-    total = clusters.agg(F.sum("size")).collect()[0][0]
-    if total is None:
-        raise ValueError("empty cluster table")
-    draws = (
-        spark.range(n)
-        .select((F.col("id") + F.lit(draw_id_offset)).alias("draw_id"))
-        .withColumn("_u", F.rand(seed) * F.lit(float(total)))
-    )
-    iv = _with_intervals(clusters)
-    return (
-        iv.join(
-            F.broadcast(draws),
-            (draws["_u"] >= iv["cum_start"]) & (draws["_u"] < iv["cum_end"]),
-        )
-        .select("draw_id", "subject", "size", "tau")
-    )
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    cum = np.cumsum(sizes)
+    u = rng.random(k) * cum[-1]
+    return np.searchsorted(cum, u, side="right")
 
 
-def draws_to_triples(kg: DataFrame, draws: DataFrame) -> DataFrame:
-    """All triples of the drawn clusters, tagged by draw_id (RCS/WCS)."""
-    d = F.broadcast(draws.select("draw_id", "subject"))
-    return kg.join(d, "subject").select("draw_id", "subject", "predicate", "object", "label")
+def draws_to_triples(kg: DataFrame, subjects: np.ndarray) -> pd.DataFrame:
+    """All triples of the clusters ``subjects``, fetched in one Spark job.
 
-
-def second_stage_sample(kg: DataFrame, draws: DataFrame, m: int, *, seed: int) -> DataFrame:
-    """TWCS second stage: per draw, SRS without replacement of <= m triples.
-
-    Each draw gets an independent within-cluster sample: the rand key is
-    computed per (draw_id, triple) row *after* the join, and row_number
-    is partitioned by draw_id.
+    Rows are sorted by (subject, predicate, object), so a row's position
+    depends on the KG's content only.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    joined = draws_to_triples(kg, draws).withColumn("_r", F.rand(seed))
-    w = Window.partitionBy("draw_id").orderBy("_r")
-    return (
-        joined.withColumn("_rn", F.row_number().over(w))
-        .filter(F.col("_rn") <= m)
-        .drop("_r", "_rn")
+    wanted = np.unique(subjects).tolist()
+    pdf = (
+        kg.filter(F.col("subject").isin(wanted))
+        .select("subject", "predicate", "object", "label")
+        .toPandas()
     )
+    return pdf.sort_values(["subject", "predicate", "object"], ignore_index=True)
+
+
+def second_stage_sample(
+    triples: pd.DataFrame,
+    subjects: np.ndarray,
+    m: int | None,
+    rng: np.random.Generator,
+    *,
+    draw_id_offset: int = 0,
+) -> pd.DataFrame:
+    """Per draw of ``subjects``, its rows of ``triples``, tagged by draw_id.
+
+    ``triples`` is ``draws_to_triples`` output. With ``m`` None a draw
+    keeps its whole cluster (RCS/WCS); otherwise it keeps the TWCS
+    second-stage sample ``rng.permutation(M_i)[:min(M_i, m)]``, an
+    independent SRS without replacement per draw.
+    """
+    if m is not None and m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    col = triples["subject"].to_numpy()
+    starts = np.searchsorted(col, subjects, side="left")
+    ends = np.searchsorted(col, subjects, side="right")
+    rows = [
+        np.arange(a, b) if m is None else a + rng.permutation(b - a)[:m]
+        for a, b in zip(starts, ends)
+    ]
+    counts = [len(r) for r in rows]
+    draw_ids = np.arange(draw_id_offset, draw_id_offset + len(rows))
+    sample = triples.iloc[np.concatenate(rows)].reset_index(drop=True)
+    sample.insert(0, "draw_id", np.repeat(draw_ids, counts))
+    return sample
 
 
 def estimate_cluster_means(mu_per_draw: np.ndarray, *, alpha: float) -> Estimate:

@@ -18,9 +18,9 @@ from pyspark.sql import functions as F
 def cluster_stats_df(kg: DataFrame) -> DataFrame:
     """(subject, size, tau): cluster size M_i and correct count tau_i.
 
-    ``tau`` aggregates the hidden gold label; downstream samplers only
-    use ``size`` for the design, while ``tau`` feeds the simulated
-    annotator and oracle stratification.
+    ``tau`` aggregates the hidden gold label; the Spark samplers select
+    only ``subject`` and ``size``, while ``tau`` feeds the Monte-Carlo
+    ``Population`` and oracle stratification.
     """
     return kg.groupBy("subject").agg(
         F.count(F.lit(1)).alias("size"),
@@ -66,8 +66,7 @@ class Population:
     @classmethod
     def from_kg(cls, kg: DataFrame) -> "Population":
         """Aggregate a triple-level Spark KG down to cluster arrays."""
-        pdf = cluster_stats_df(kg).orderBy("subject").toPandas()
-        return cls.from_pandas(pdf)
+        return cls.from_pandas(cluster_stats_df(kg).toPandas())
 
     @classmethod
     def from_pandas(cls, pdf: pd.DataFrame) -> "Population":

@@ -7,10 +7,10 @@ evaluations here, the Monte-Carlo trials (``repro.sim.mc``) and the
 evolving evaluators (``repro.evolving``) each supply just a ``draw``
 step (what to sample, how to charge its cost) and an ``estimate``.
 
-Here the collector is one of the Sec 5 sampling designs running as Spark
-DataFrame transforms; annotation goes through the SimulatedAnnotator
-(which charges the Eq 4 cost model); estimation runs in the driver on
-the (small) accumulated sample.
+Here the collector is one of the Sec 5 sampling designs over a Spark KG;
+annotation goes through the SimulatedAnnotator (which charges the Eq 4
+cost model); estimation runs in the driver on the (small) accumulated
+sample.
 
 Batching conventions (calibrated against the paper's reported sample
 sizes; see EXPERIMENTS.md):
@@ -18,10 +18,13 @@ sizes; see EXPERIMENTS.md):
 - SRS draws triples in batches of ``batch_triples`` (default 25). All
   batches come from one rand-keyed shuffled prefix of the KG, so the
   pooled sample is a without-replacement SRS of its total size.
-- Cluster designs draw ``batch_clusters`` Evaluation Tasks per batch
-  (default 20). WCS/TWCS draws are with replacement, so batches are
-  independent; RCS slices a shuffled cluster prefix (without
-  replacement).
+- Cluster designs collect the cluster sizes once per evaluation and
+  draw ``batch_clusters`` Evaluation Tasks per batch (default 20) in
+  numpy, from one ``np.random.default_rng(seed)`` per evaluation:
+  WCS/TWCS by PPS with replacement, so batches are independent; RCS by
+  slicing one ``rng.permutation(N)`` (without replacement). Each batch
+  then fetches its clusters' triples in one Spark job, and TWCS keeps
+  min(M_i, m) of them per draw (``repro.core.cluster_sampling``).
 
 The stopping rule trusts the Normal-approximation MoE only after
 ``min_units`` primary units, the paper's CLT rule-of-thumb guard.
@@ -34,7 +37,6 @@ from typing import Callable
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.annotate.annotator import SimulatedAnnotator
 from repro.core import cluster_sampling as cs
@@ -123,11 +125,7 @@ def evaluate_static(
 
     if design == "srs":
         return _run_srs(kg, config=config, seed=seed, ann=ann)
-    cl = cluster_stats_df(kg).cache()
-    try:
-        return _run_cluster(kg, cl, design=design, m=m, config=config, seed=seed, ann=ann)
-    finally:
-        cl.unpersist()
+    return _run_cluster(kg, design=design, m=m, config=config, seed=seed, ann=ann)
 
 
 def _run_srs(kg: DataFrame, *, config: EvalConfig, seed: int, ann: SimulatedAnnotator) -> EvalResult:
@@ -159,7 +157,6 @@ def _run_srs(kg: DataFrame, *, config: EvalConfig, seed: int, ann: SimulatedAnno
 
 def _run_cluster(
     kg: DataFrame,
-    clusters: DataFrame,
     *,
     design: str,
     m: int | None,
@@ -167,17 +164,17 @@ def _run_cluster(
     seed: int,
     ann: SimulatedAnnotator,
 ) -> EvalResult:
+    # Once per evaluation: (subject, M_i), sorted in the driver so that the
+    # draws depend on the KG's content only, not on its partitioning.
+    stats = cluster_stats_df(kg).select("subject", "size").toPandas().sort_values("subject")
+    subjects = stats["subject"].to_numpy(np.int64)
+    sizes = stats["size"].to_numpy(np.int64)
+    n_clusters_pop, n_triples_pop = len(sizes), int(sizes.sum())
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n_clusters_pop) if design == "rcs" else None
     b = config.batch_clusters
     values: list[float] = []  # per draw: tau for RCS, the cluster mean otherwise
-    i_batch = n_triples = 0
-    prefix = pd.DataFrame()
-
-    if design == "rcs":
-        # Population constants for the RCS estimator.
-        row = clusters.agg(
-            F.count(F.lit(1)).alias("N"), F.sum("size").alias("M")
-        ).collect()[0]
-        n_clusters_pop, n_triples_pop = int(row["N"]), int(row["M"])
+    n_triples = 0
 
     def estimate() -> Estimate:
         if design == "rcs":
@@ -188,32 +185,24 @@ def _run_cluster(
         return cs.estimate_cluster_means(np.asarray(values), alpha=config.alpha)
 
     def draw() -> bool:
-        nonlocal i_batch, n_triples, prefix
-        lo = i_batch * b
+        nonlocal n_triples
+        lo = len(values)
         if design == "rcs":
             if lo >= n_clusters_pop:
                 return False  # census of clusters
-            hi = min(lo + b, n_clusters_pop)
-            if len(prefix) < hi:
-                k = min(n_clusters_pop, max(4 * b, 2 * (lo + b)))
-                prefix = _shuffled_prefix(clusters, k, seed=seed)
-            batch = prefix.iloc[lo:hi].assign(draw_id=np.arange(lo, hi))
-            draws = kg.sparkSession.createDataFrame(batch[["draw_id", "subject", "size", "tau"]])
+            ci = order[lo : lo + b]
         else:
-            draws = cs.weighted_cluster_draws(
-                clusters, b, seed=seed + 101 * i_batch, draw_id_offset=lo
-            )
-
-        if design == "twcs":
-            sample = cs.second_stage_sample(kg, draws, m, seed=seed + 7 + 101 * i_batch)
-        else:
-            sample = cs.draws_to_triples(kg, draws)
+            ci = cs.weighted_cluster_draws(sizes, b, rng)
+        drawn = subjects[ci]
+        triples = cs.draws_to_triples(kg, drawn)
+        sample = cs.second_stage_sample(
+            triples, drawn, m if design == "twcs" else None, rng, draw_id_offset=lo
+        )
         annotated = ann.annotate_tasks(sample)
         labels = annotated.groupby("draw_id")["label"]
         per_draw = labels.sum() if design == "rcs" else labels.mean()
         values.extend(per_draw.to_numpy(np.float64).tolist())
         n_triples += len(annotated)
-        i_batch += 1
         return True
 
     est, n_batches, reason = sample_until(config, config.min_draws, estimate, draw)

@@ -9,7 +9,8 @@ aggregated once by Spark — so the repetition layer runs in numpy:
   cluster by searchsorted over the size cumsum; its label follows the
   same first-tau_i-correct layout the Spark KG materialises;
 - a PPS cluster draw is searchsorted of u*M over the same cumsum
-  (identical to the range join in core.cluster_sampling);
+  (``core.cluster_sampling.weighted_cluster_draws``, the Spark
+  evaluation's own draw);
 - a TWCS second-stage sample of s=min(M_i, m) triples without
   replacement has Hypergeometric(tau_i, M_i - tau_i, s) correct triples
   (``second_stage``, shared with RS and SS).
@@ -34,7 +35,11 @@ from repro.core.cost import DEFAULT_COST
 from repro.core.framework import EvalConfig, sample_until
 from repro.core.srs import estimate_srs
 from repro.core.stats import Estimate, combine_stratified
-from repro.core.cluster_sampling import estimate_cluster_means, estimate_rcs
+from repro.core.cluster_sampling import (
+    estimate_cluster_means,
+    estimate_rcs,
+    weighted_cluster_draws,
+)
 
 
 @dataclass(frozen=True)
@@ -125,9 +130,7 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
 
 def _pps_draws(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray:
     """k PPS-with-replacement cluster indices (prob M_i / M)."""
-    cum = np.cumsum(pop.sizes)
-    u = rng.random(k) * cum[-1]
-    return np.searchsorted(cum, u, side="right")
+    return weighted_cluster_draws(pop.sizes, k, rng)
 
 
 def second_stage(

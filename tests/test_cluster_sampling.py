@@ -1,12 +1,13 @@
-"""Tests for RCS/WCS/TWCS Spark samplers and estimators (Sec 5.2)."""
+"""Tests for RCS/WCS/TWCS samplers and estimators (Sec 5.2)."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import cluster_sampling as cs
-from repro.core.cluster_stats import Population, cluster_stats_df
+from repro.core.cluster_stats import Population
 from repro.kg.generator import nell_like
 from repro.oracle import assert_equivalent
+from repro.sim import mc
 
 
 @pytest.fixture(scope="module")
@@ -20,34 +21,36 @@ def nell_df(spark):
 
 
 @pytest.fixture(scope="module")
-def clusters(nell_df):
-    return cluster_stats_df(nell_df).cache()
+def pop(nell):
+    return Population.from_synthetic(nell)
 
 
-class TestIntervals:
-    def test_intervals_partition_the_triple_range(self, spark, clusters, nell):
-        iv = cs._with_intervals(clusters).orderBy("subject").toPandas()
-        assert iv["cum_start"].iloc[0] == 0
-        assert iv["cum_end"].iloc[-1] == nell.n_triples
-        # contiguity: next start == previous end
-        assert (iv["cum_start"].to_numpy()[1:] == iv["cum_end"].to_numpy()[:-1]).all()
-        assert ((iv["cum_end"] - iv["cum_start"]).to_numpy() == iv["size"].to_numpy()).all()
+def pps_subjects(pop, n, *, seed):
+    """Subjects of n PPS draws."""
+    return pop.subjects[cs.weighted_cluster_draws(pop.sizes, n, np.random.default_rng(seed))]
+
+
+def sample(nell_df, subjects, m, *, seed, draw_id_offset=0):
+    """The second-stage sample of ``subjects`` as an evaluation batch takes it."""
+    triples = cs.draws_to_triples(nell_df, subjects)
+    return cs.second_stage_sample(
+        triples, subjects, m, np.random.default_rng(seed), draw_id_offset=draw_id_offset
+    )
 
 
 class TestWeightedDraws:
-    def test_exact_draw_count_with_replacement(self, clusters):
-        draws = cs.weighted_cluster_draws(clusters, 40, seed=1).toPandas()
-        assert len(draws) == 40
-        assert sorted(draws["draw_id"]) == list(range(40))
+    def test_exact_draw_count_with_replacement(self, nell_df, pop):
+        draws = sample(nell_df, pps_subjects(pop, 40, seed=1), None, seed=1)
+        assert sorted(draws["draw_id"].unique()) == list(range(40))
 
-    def test_draw_id_offset(self, clusters):
-        draws = cs.weighted_cluster_draws(clusters, 5, seed=1, draw_id_offset=100).toPandas()
-        assert sorted(draws["draw_id"]) == list(range(100, 105))
+    def test_draw_id_offset(self, nell_df, pop):
+        draws = sample(nell_df, pps_subjects(pop, 5, seed=1), None, seed=1, draw_id_offset=100)
+        assert sorted(draws["draw_id"].unique()) == list(range(100, 105))
 
-    def test_pps_inclusion_frequencies(self, clusters, nell):
+    def test_pps_inclusion_frequencies(self, pop, nell):
         """Cluster selection frequency tracks M_i / M (Hansen-Hurwitz)."""
-        draws = cs.weighted_cluster_draws(clusters, 3000, seed=2).toPandas()
-        merged = draws.groupby("subject").size()
+        draws = pd.Series(pps_subjects(pop, 3000, seed=2))
+        merged = draws.groupby(draws).size()
         # Compare aggregate frequency of size-1 vs larger clusters.
         sizes = pd.Series(nell.sizes, index=nell.subjects())
         freq_by_size = merged.groupby(sizes.reindex(merged.index)).sum()
@@ -56,66 +59,62 @@ class TestWeightedDraws:
         got_share_1 = freq_by_size.get(1, 0) / 3000
         assert got_share_1 == pytest.approx(expected_share_1, rel=0.15)
 
-    def test_rejects_nonpositive_n(self, clusters):
+    def test_rejects_nonpositive_n(self, pop):
         with pytest.raises(ValueError):
-            cs.weighted_cluster_draws(clusters, 0, seed=1)
+            cs.weighted_cluster_draws(pop.sizes, 0, np.random.default_rng(1))
+
+    def test_same_kernel_as_mc(self, pop):
+        """The Spark evaluation and the MC layer draw the same clusters."""
+        a = mc._pps_draws(pop, 500, np.random.default_rng(3))
+        b = cs.weighted_cluster_draws(pop.sizes, 500, np.random.default_rng(3))
+        np.testing.assert_array_equal(a, b)
 
 
-def distinct_draws(clusters, n, *, seed):
+def distinct_subjects(pop, n, *, seed):
     """PPS draws with repeated subjects dropped: one draw per cluster."""
-    return cs.weighted_cluster_draws(clusters, n, seed=seed).dropDuplicates(["subject"])
+    return np.unique(pps_subjects(pop, n, seed=seed))
 
 
 class TestDrawsToTriples:
-    def test_full_clusters_recovered(self, spark, nell_df, clusters, nell):
-        draws = distinct_draws(clusters, 10, seed=4)
-        triples = cs.draws_to_triples(nell_df, draws).toPandas()
+    def test_full_clusters_recovered(self, nell_df, pop, nell):
+        triples = cs.draws_to_triples(nell_df, distinct_subjects(pop, 10, seed=4))
         got = triples.groupby("subject").size().sort_index()
         sizes = pd.Series(nell.sizes, index=nell.subjects())
         assert (got == sizes.reindex(got.index)).all()
 
-    def test_oracle_join_equivalence(self, spark, nell_df, clusters, nell):
-        draws = distinct_draws(clusters, 8, seed=5)
-        got = (
-            cs.draws_to_triples(nell_df, draws)
-            .groupBy("subject")
-            .count()
-            .withColumnRenamed("count", "n")
-        )
+    def test_oracle_join_equivalence(self, spark, nell_df, pop, nell):
+        subjects = distinct_subjects(pop, 8, seed=5)
+        triples = cs.draws_to_triples(nell_df, subjects)
+        got = spark.createDataFrame(triples.groupby("subject").size().reset_index(name="n"))
         assert_equivalent(
             got,
             "SELECT kg.subject AS subject, COUNT(*) AS n FROM kg "
             "JOIN draws ON kg.subject = draws.subject GROUP BY kg.subject",
             kg=nell.to_pandas(),
-            draws=draws.toPandas(),
+            draws=pd.DataFrame({"subject": subjects}),
         )
 
 
 class TestSecondStage:
     @pytest.mark.parametrize("m", [1, 2, 5])
-    def test_caps_per_draw_size(self, nell_df, clusters, m):
-        draws = cs.weighted_cluster_draws(clusters, 30, seed=6)
-        sample = cs.second_stage_sample(nell_df, draws, m, seed=7).toPandas()
-        per_draw = sample.groupby("draw_id").size()
+    def test_caps_per_draw_size(self, nell_df, pop, m):
+        s = sample(nell_df, pps_subjects(pop, 30, seed=6), m, seed=7)
+        per_draw = s.groupby("draw_id").size()
         assert (per_draw <= m).all()
         assert len(per_draw) == 30  # every draw yields >= 1 triple
 
-    def test_takes_min_of_size_and_m(self, nell_df, clusters, nell):
+    def test_takes_min_of_size_and_m(self, nell_df, pop, nell):
         m = 3
-        draws = cs.weighted_cluster_draws(clusters, 50, seed=8).toPandas()
-        sample = cs.second_stage_sample(
-            nell_df, nell_df.sparkSession.createDataFrame(draws), m, seed=9
-        ).toPandas()
+        subjects = pps_subjects(pop, 50, seed=8)
+        s = sample(nell_df, subjects, m, seed=9)
         sizes = pd.Series(nell.sizes, index=nell.subjects())
-        per_draw = sample.groupby("draw_id").size()
+        per_draw = s.groupby("draw_id").size()
         for did, cnt in per_draw.items():
-            subj = draws.set_index("draw_id").loc[did, "subject"]
-            assert cnt == min(int(sizes.loc[subj]), m)
+            assert cnt == min(int(sizes.loc[subjects[did]]), m)
 
-    def test_within_cluster_without_replacement(self, nell_df, clusters):
-        draws = cs.weighted_cluster_draws(clusters, 20, seed=10)
-        sample = cs.second_stage_sample(nell_df, draws, 5, seed=11).toPandas()
-        dup = sample.groupby(["draw_id", "subject", "predicate", "object", "label"]).size()
+    def test_within_cluster_without_replacement(self, nell_df, pop):
+        s = sample(nell_df, pps_subjects(pop, 20, seed=10), 5, seed=11)
+        dup = s.groupby(["draw_id", "subject", "predicate", "object", "label"]).size()
         assert (dup == 1).all()
 
 

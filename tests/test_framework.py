@@ -108,6 +108,28 @@ class TestEstimates:
         assert res.n_entities <= res.n_triples
 
 
+class TestDeterminism:
+    """A seed fixes the sample: partition layout and shuffle settings do not
+    (ROADMAP item 3)."""
+
+    @pytest.mark.parametrize("design,m", [("rcs", None), ("wcs", None), ("twcs", 3)])
+    def test_same_result_across_partitioning(self, spark, nell_df, design, m):
+        def run(df):
+            return evaluate_static(df, design=design, m=m, seed=18)
+
+        assert run(nell_df.repartition(1)) == run(nell_df.repartition(5))
+        key = "spark.sql.shuffle.partitions"
+        old = spark.conf.get(key)
+        try:
+            spark.conf.set(key, "8")
+            few = run(nell_df)
+            spark.conf.set(key, "64")
+            many = run(nell_df)
+        finally:
+            spark.conf.set(key, old)
+        assert few == many
+
+
 class TestValidation:
     def test_unknown_design_rejected(self, nell_df):
         with pytest.raises(ValueError):
