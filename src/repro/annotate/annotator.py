@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.core.cost import CostLedger
 
@@ -25,26 +24,26 @@ class SimulatedAnnotator:
 
     ledger: CostLedger = field(default_factory=CostLedger)
 
-    def annotate_tasks(self, sample: DataFrame | pd.DataFrame) -> pd.DataFrame:
+    def annotate_tasks(self, sample: pd.DataFrame) -> pd.DataFrame:
         """Annotate a cluster-design sample: one Task per ``draw_id``.
 
         ``sample`` must have columns (draw_id, subject, label). Returns
-        the same rows as pandas with labels revealed; charges c1 per
-        draw and c2 per triple.
+        a copy with labels revealed; charges c1 per draw and c2 per
+        triple.
         """
-        pdf = sample.toPandas() if isinstance(sample, DataFrame) else sample.copy()
+        pdf = sample.copy()
         for _, grp in pdf.groupby("draw_id"):
             self.ledger.charge_task(len(grp))
         return pdf
 
-    def annotate_triples(self, sample: DataFrame | pd.DataFrame) -> pd.DataFrame:
+    def annotate_triples(self, sample: pd.DataFrame) -> pd.DataFrame:
         """Annotate an SRS sample of individual triples.
 
         Triples are grouped by subject across *all* batches seen so far,
         so a subject already identified in a previous batch is not
         charged c1 again (Sec 5.1 cost analysis).
         """
-        pdf = sample.toPandas() if isinstance(sample, DataFrame) else sample.copy()
+        pdf = sample.copy()
         self.ledger.charge_srs_batch(pdf["subject"].tolist())
         return pdf
 

@@ -9,7 +9,8 @@ fetches the drawn clusters' triples. A sample therefore depends only on
 - ``weighted_cluster_draws``: PPS with replacement (pi_i = M_i / M), a
   uniform u in [0, M) mapped to its cluster by searchsorted over the
   size cumsum, i.e. "pick a uniform random triple, take its cluster".
-  It is also the Monte-Carlo layer's kernel (``repro.sim.mc._pps_draws``).
+  It is the one PPS kernel: every cluster trial draws through
+  ``repro.sim.mc._pps_draws``, which calls it through this module.
 - ``draws_to_triples``: one filtered KG scan returning the drawn
   clusters' triples (subject, predicate, object, label) in a fixed order.
 - ``second_stage_sample``: one ``draw_id`` per draw, the primary
@@ -61,10 +62,9 @@ def second_stage_sample(
     subjects: np.ndarray,
     m: int | None,
     rng: np.random.Generator,
-    *,
-    draw_id_offset: int = 0,
 ) -> pd.DataFrame:
-    """Per draw of ``subjects``, its rows of ``triples``, tagged by draw_id.
+    """Per draw of ``subjects``, its rows of ``triples``, tagged by draw_id
+    (0, 1, ... in draw order).
 
     ``triples`` is ``draws_to_triples`` output. With ``m`` None a draw
     keeps its whole cluster (RCS/WCS); otherwise it keeps the TWCS
@@ -81,9 +81,8 @@ def second_stage_sample(
         for a, b in zip(starts, ends)
     ]
     counts = [len(r) for r in rows]
-    draw_ids = np.arange(draw_id_offset, draw_id_offset + len(rows))
     sample = triples.iloc[np.concatenate(rows)].reset_index(drop=True)
-    sample.insert(0, "draw_id", np.repeat(draw_ids, counts))
+    sample.insert(0, "draw_id", np.repeat(np.arange(len(rows)), counts))
     return sample
 
 

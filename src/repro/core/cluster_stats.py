@@ -63,6 +63,15 @@ class Population:
     def cluster_accuracies(self) -> np.ndarray:
         return self.taus / self.sizes
 
+    def second_stage(self, ci, m: int | None, rng) -> tuple[np.ndarray, np.ndarray]:
+        """(s, good) of drawn clusters ``ci``: s = min(M_i, m) triples without
+        replacement (all if ``m`` is None), good ~ Hypergeometric(tau_i, M_i - tau_i, s)."""
+        sizes, taus = self.sizes[ci], self.taus[ci]
+        if m is None:
+            return sizes, taus
+        s = np.minimum(sizes, m)
+        return s, rng.hypergeometric(taus, sizes - taus, s)
+
     @classmethod
     def from_kg(cls, kg: DataFrame) -> "Population":
         """Aggregate a triple-level Spark KG down to cluster arrays."""

@@ -18,20 +18,20 @@ sizes; see EXPERIMENTS.md):
 - SRS draws triples in batches of ``batch_triples`` (default 25). All
   batches come from one rand-keyed shuffled prefix of the KG, so the
   pooled sample is a without-replacement SRS of its total size.
-- Cluster designs collect the cluster sizes once per evaluation and
-  draw ``batch_clusters`` Evaluation Tasks per batch (default 20) in
-  numpy, from one ``np.random.default_rng(seed)`` per evaluation:
-  WCS/TWCS by PPS with replacement, so batches are independent; RCS by
-  slicing one ``rng.permutation(N)`` (without replacement). Each batch
-  then fetches its clusters' triples in one Spark job, and TWCS keeps
-  min(M_i, m) of them per draw (``repro.core.cluster_sampling``).
+- RCS/WCS/TWCS are the Monte-Carlo trials ``mc.rcs_trial`` and
+  ``mc.twcs_trial`` run on ``_SparkClusters``, a population that
+  collects the cluster sizes once per evaluation and whose second stage
+  fetches and annotates each batch's drawn clusters in one Spark job
+  (``repro.core.cluster_sampling``). The draws, the batch sizes, the
+  estimators and the stopping rule are the trials' own, from one
+  ``np.random.default_rng(seed)`` per evaluation.
 
 The stopping rule trusts the Normal-approximation MoE only after
 ``min_units`` primary units, the paper's CLT rule-of-thumb guard.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -56,16 +56,25 @@ class EvalConfig:
     max_units: int = 100_000  # hard safety stop
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalResult:
+    """One evaluation: a Spark ``evaluate_static`` run or a Monte-Carlo trial."""
+
     estimate: Estimate
     hours: float
     n_draws: int  # primary sampling units (triples for SRS)
     n_triples: int  # triples annotated
     n_batches: int
-    design: str
     stop_reason: str  # "moe", "max_units" or "exhausted" (see sample_until)
-    n_entities: int = 0  # entity identifications charged (Eq 4's |E'|)
+    n_entities: int  # entity identifications charged (Eq 4's |E'|)
+
+    @property
+    def mu_hat(self) -> float:
+        return self.estimate.mu_hat
+
+    @property
+    def moe(self) -> float:
+        return self.estimate.moe
 
 
 def sample_until(
@@ -149,10 +158,32 @@ def _run_srs(kg: DataFrame, *, config: EvalConfig, seed: int, ann: SimulatedAnno
         lambda: estimate_srs(np.asarray(labels, dtype=np.float64), alpha=config.alpha),
         draw,
     )
-    return EvalResult(
-        est, ann.hours, est.n_units, est.n_units, n_batches, "srs", reason,
-        n_entities=ann.ledger.n_identifications,
-    )
+    n = est.n_units
+    return EvalResult(est, ann.hours, n, n, n_batches, reason, ann.ledger.n_identifications)
+
+
+class _SparkClusters:
+    """A Spark KG as a cluster population of the Monte-Carlo trials.
+
+    Holds (subject, M_i), collected once per evaluation and sorted in the
+    driver so that the draws depend on the KG's content only, not on its
+    partitioning. A batch's second stage is one filtered KG fetch of the
+    drawn clusters, their rows picked by position, and one annotation.
+    """
+
+    def __init__(self, kg: DataFrame, ann: SimulatedAnnotator):
+        stats = cluster_stats_df(kg).select("subject", "size").toPandas().sort_values("subject")
+        self.kg, self.ann = kg, ann
+        self.subjects = stats["subject"].to_numpy(np.int64)
+        self.sizes = stats["size"].to_numpy(np.int64)
+        self.n_clusters, self.n_triples = len(self.sizes), int(self.sizes.sum())
+
+    def second_stage(self, ci, m: int | None, rng) -> tuple[np.ndarray, np.ndarray]:
+        """(triples annotated, triples correct) per draw of clusters ``ci``."""
+        drawn = self.subjects[ci]
+        sample = cs.second_stage_sample(cs.draws_to_triples(self.kg, drawn), drawn, m, rng)
+        labels = self.ann.annotate_tasks(sample).groupby("draw_id")["label"]
+        return labels.size().to_numpy(np.int64), labels.sum().to_numpy(np.int64)
 
 
 def _run_cluster(
@@ -164,49 +195,12 @@ def _run_cluster(
     seed: int,
     ann: SimulatedAnnotator,
 ) -> EvalResult:
-    # Once per evaluation: (subject, M_i), sorted in the driver so that the
-    # draws depend on the KG's content only, not on its partitioning.
-    stats = cluster_stats_df(kg).select("subject", "size").toPandas().sort_values("subject")
-    subjects = stats["subject"].to_numpy(np.int64)
-    sizes = stats["size"].to_numpy(np.int64)
-    n_clusters_pop, n_triples_pop = len(sizes), int(sizes.sum())
+    from repro.sim import mc  # mc imports this module
+
+    pop = _SparkClusters(kg, ann)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n_clusters_pop) if design == "rcs" else None
-    b = config.batch_clusters
-    values: list[float] = []  # per draw: tau for RCS, the cluster mean otherwise
-    n_triples = 0
-
-    def estimate() -> Estimate:
-        if design == "rcs":
-            return cs.estimate_rcs(
-                np.asarray(values), n_clusters=n_clusters_pop, n_triples=n_triples_pop,
-                alpha=config.alpha,
-            )
-        return cs.estimate_cluster_means(np.asarray(values), alpha=config.alpha)
-
-    def draw() -> bool:
-        nonlocal n_triples
-        lo = len(values)
-        if design == "rcs":
-            if lo >= n_clusters_pop:
-                return False  # census of clusters
-            ci = order[lo : lo + b]
-        else:
-            ci = cs.weighted_cluster_draws(sizes, b, rng)
-        drawn = subjects[ci]
-        triples = cs.draws_to_triples(kg, drawn)
-        sample = cs.second_stage_sample(
-            triples, drawn, m if design == "twcs" else None, rng, draw_id_offset=lo
-        )
-        annotated = ann.annotate_tasks(sample)
-        labels = annotated.groupby("draw_id")["label"]
-        per_draw = labels.sum() if design == "rcs" else labels.mean()
-        values.extend(per_draw.to_numpy(np.float64).tolist())
-        n_triples += len(annotated)
-        return True
-
-    est, n_batches, reason = sample_until(config, config.min_draws, estimate, draw)
-    return EvalResult(
-        est, ann.hours, est.n_units, n_triples, n_batches, design, reason,
-        n_entities=ann.ledger.n_identifications,
-    )
+    if design == "rcs":
+        res = mc.rcs_trial(pop, rng, config)
+    else:
+        res = mc.twcs_trial(pop, m if design == "twcs" else None, rng, config)
+    return replace(res, hours=ann.hours)  # the annotator's own cost parameters

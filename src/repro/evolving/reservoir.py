@@ -9,8 +9,8 @@ smallest-key replacement loop: because top-n is associative,
 compares Delta's keys against the reservoir.
 
 The evaluator follows the paper: the reservoir is *used as* the TWCS
-first-stage sample (per-cluster second-stage SRS of <= m triples, the MC
-layer's ``second_stage``), the estimate is the Eq 9
+first-stage sample (per-cluster second-stage SRS of <= m triples,
+``Population.second_stage``), the estimate is the Eq 9
 mean-of-cluster-means, and when an update pushes the MoE above eps the
 static loop tops the reservoir up with further clusters (Sec 6.1's "run
 Static Evaluation on G + Delta"), through the shared Fig 2 loop
@@ -35,17 +35,15 @@ from repro.core.cost import CostLedger
 from repro.core.framework import EvalConfig, sample_until
 from repro.core.cluster_sampling import estimate_cluster_means
 from repro.core.stats import Estimate
-from repro.sim.mc import second_stage
 
 
 @dataclass
 class _Member:
-    """An annotated reservoir cluster: (key, cluster stats, sample mean)."""
+    """An annotated reservoir cluster: (key, cluster ``i`` of ``pop``, sample mean)."""
 
     key: float
-    subject: int
-    size: int
-    tau: int
+    pop: Population
+    i: int
     mean: float
     s: int  # triples annotated in the second stage
 
@@ -56,22 +54,23 @@ class ReservoirEvaluator:
 
     ``members`` is a min-heap on the A-Res key (Algorithm 1 evicts the
     smallest key). ``spare`` keeps every non-member cluster of the
-    current KG state with its key, descending — the top-up pool used
-    when an update pushes the MoE back above eps.
+    current KG state as (key, population, index), keys descending — the
+    top-up pool used when an update pushes the MoE back above eps.
     """
 
     m: int
     cfg: EvalConfig = field(default_factory=EvalConfig)
     members: list[tuple[float, int, _Member]] = field(default_factory=list)
-    spare: list[tuple[float, int, int, int]] = field(default_factory=list)
+    spare: list[tuple[float, Population, int]] = field(default_factory=list)
     ledger: CostLedger = field(default_factory=CostLedger)
     n_insertions: int = 0  # reservoir entries after the initial fill (Prop 3)
+    stop_reason: str | None = None  # the last top-up loop's (see sample_until)
     _counter: int = 0
 
-    def _annotate(self, key: float, subject: int, size: int, tau: int, rng) -> _Member:
-        s, good = second_stage(size, tau, self.m, rng)
+    def _annotate(self, key: float, pop: Population, i: int, rng) -> _Member:
+        s, good = pop.second_stage(i, self.m, rng)
         self.ledger.charge_task(int(s))
-        return _Member(key, subject, size, tau, float(good / s), int(s))
+        return _Member(key, pop, i, float(good / s), int(s))
 
     def _push(self, mb: _Member) -> None:
         self._counter += 1
@@ -88,21 +87,19 @@ class ReservoirEvaluator:
             if not self.spare:
                 return False
             take = min(self.cfg.batch_clusters, len(self.spare))
-            for key, subj, size, tau in self.spare[:take]:
-                self._push(self._annotate(key, subj, size, tau, rng))
+            for key, pop, i in self.spare[:take]:
+                self._push(self._annotate(key, pop, i, rng))
             del self.spare[:take]
             return True
 
-        return sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)[0]
+        est, _, self.stop_reason = sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)
+        return est
 
     def initialise(self, pop: Population, rng: np.random.Generator) -> Estimate:
         """Static phase on the base KG: grow the reservoir until MoE <= eps."""
         keys = rng.random(pop.n_clusters) ** (1.0 / pop.sizes)
         order = np.argsort(-keys)
-        self.spare = [
-            (float(keys[i]), int(pop.subjects[i]), int(pop.sizes[i]), int(pop.taus[i]))
-            for i in order
-        ]
+        self.spare = [(float(keys[i]), pop, int(i)) for i in order]
         return self._top_up_until_converged(rng)
 
     def apply_update(self, delta: Population, rng: np.random.Generator) -> Estimate:
@@ -111,17 +108,16 @@ class ReservoirEvaluator:
             raise RuntimeError("initialise() must run before apply_update()")
         keys = rng.random(delta.n_clusters) ** (1.0 / delta.sizes)
         size_before = len(self.members)
-        new_spare: list[tuple[float, int, int, int]] = []
+        new_spare: list[tuple[float, Population, int]] = []
         for i in range(delta.n_clusters):
             k_e = float(keys[i])
-            subj, size, tau = int(delta.subjects[i]), int(delta.sizes[i]), int(delta.taus[i])
             if k_e > self.members[0][0]:  # beats the smallest reservoir key
                 _, _, evicted = heapq.heappop(self.members)
-                new_spare.append((evicted.key, evicted.subject, evicted.size, evicted.tau))
-                self._push(self._annotate(k_e, subj, size, tau, rng))
+                new_spare.append((evicted.key, evicted.pop, evicted.i))
+                self._push(self._annotate(k_e, delta, i, rng))
                 self.n_insertions += 1
             else:
-                new_spare.append((k_e, subj, size, tau))
+                new_spare.append((k_e, delta, i))
         self.spare.extend(new_spare)
         self.spare.sort(key=lambda t: -t[0])
         assert len(self.members) == size_before, "reservoir size is invariant"

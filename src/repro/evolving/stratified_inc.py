@@ -10,7 +10,8 @@ fault-tolerance trade-off, which tests reproduce).
 Per Algorithm 2, after an update only the newest stratum is sampled:
 draw TWCS batches on Delta until the *combined* MoE is back under eps,
 through the shared Fig 2 loop ``core.framework.sample_until``, with the
-MC layer's PPS draw and ``second_stage``, and Eq 13 as in the MC trial.
+MC layer's PPS draw, ``Population.second_stage``, and Eq 13 as in the
+MC trial.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from repro.core.cost import CostLedger
 from repro.core.framework import EvalConfig, sample_until
 from repro.core.cluster_sampling import estimate_cluster_means
 from repro.core.stats import Estimate, combine_stratified
-from repro.sim.mc import _pps_draws, second_stage
+from repro.sim.mc import _pps_draws
 
 # Incremental batches on Delta are finer than the static loop's: each
 # new stratum usually needs only a handful of draws to pull the
@@ -46,10 +47,10 @@ class StratifiedIncrementalEvaluator:
     cfg: EvalConfig = field(default_factory=EvalConfig)
     strata: list[_Stratum] = field(default_factory=list)
     ledger: CostLedger = field(default_factory=CostLedger)
+    stop_reason: str | None = None  # the last loop's (see sample_until)
 
     def _draw_batch(self, st: _Stratum, k: int, rng: np.random.Generator) -> None:
-        ci = _pps_draws(st.pop, k, rng)
-        s, good = second_stage(st.pop.sizes[ci], st.pop.taus[ci], self.m, rng)
+        s, good = st.pop.second_stage(_pps_draws(st.pop, k, rng), self.m, rng)
         st.means.extend((good / s).tolist())
         for si in s:
             self.ledger.charge_task(int(si))
@@ -72,7 +73,8 @@ class StratifiedIncrementalEvaluator:
             self._draw_batch(st, batch, rng)
             return True
 
-        return sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)[0]
+        est, _, self.stop_reason = sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)
+        return est
 
     def initialise(self, pop: Population, rng: np.random.Generator) -> Estimate:
         """Static TWCS evaluation of the base KG G (stratum 0)."""

@@ -1,4 +1,5 @@
-"""Monte-Carlo mirror of the sampling designs (see DESIGN.md §2/§3).
+"""The Monte-Carlo trials: the only RCS/WCS/TWCS/SRS evaluation loops
+(see DESIGN.md §2/§3).
 
 The paper repeats every evaluation 1,000 times and reports mean ± sd of
 annotation cost and estimate. A trial's outcome depends on the KG only
@@ -9,20 +10,22 @@ aggregated once by Spark — so the repetition layer runs in numpy:
   cluster by searchsorted over the size cumsum; its label follows the
   same first-tau_i-correct layout the Spark KG materialises;
 - a PPS cluster draw is searchsorted of u*M over the same cumsum
-  (``core.cluster_sampling.weighted_cluster_draws``, the Spark
-  evaluation's own draw);
-- a TWCS second-stage sample of s=min(M_i, m) triples without
-  replacement has Hypergeometric(tau_i, M_i - tau_i, s) correct triples
-  (``second_stage``, shared with RS and SS).
+  (``core.cluster_sampling.weighted_cluster_draws``);
+- a drawn cluster's second stage comes from its population,
+  ``pop.second_stage(ci, m, rng) -> (s, good)``: for a ``Population``
+  s=min(M_i, m) triples without replacement with Hypergeometric(tau_i,
+  M_i - tau_i, s) correct ones, or the whole cluster when m is None.
 
-WCS is TWCS whose cap never binds (Sec 5.2), TWCS is stratified TWCS
-with one stratum (Eq 13, W_1 = 1), and ``_twcs_loop`` runs all three.
+WCS is TWCS without a cap (Sec 5.2), TWCS is stratified TWCS with one
+stratum (Eq 13, W_1 = 1), and ``_twcs_loop`` runs all three.
 
-Every trial runs the same Fig 2 loop and stopping rule as the Spark
-layer (``core.framework.sample_until``) under the same ``EvalConfig``
-batch sizes, and charges the same Eq 4 cost; a trial supplies only its
-draw step and estimator. Equivalence with the Spark layer is asserted
-in tests/test_mc_vs_spark.py.
+The cluster trials read only ``sizes``, ``n_clusters``, ``n_triples``
+and ``second_stage`` of their population, so a Spark KG is one more
+population: ``core.framework.evaluate_static`` runs RCS/WCS/TWCS by
+calling ``rcs_trial``/``twcs_trial`` on one whose second stage fetches
+and annotates the drawn triples. Every trial runs the Fig 2 loop and
+stopping rule ``core.framework.sample_until`` and charges the Eq 4
+cost; a trial supplies only its draw step and estimator.
 """
 from __future__ import annotations
 
@@ -30,27 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import cluster_sampling
+from repro.core.cluster_sampling import estimate_cluster_means, estimate_rcs
 from repro.core.cluster_stats import Population
 from repro.core.cost import DEFAULT_COST
-from repro.core.framework import EvalConfig, sample_until
+from repro.core.framework import EvalConfig, EvalResult, sample_until
 from repro.core.srs import estimate_srs
 from repro.core.stats import Estimate, combine_stratified
-from repro.core.cluster_sampling import (
-    estimate_cluster_means,
-    estimate_rcs,
-    weighted_cluster_draws,
-)
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    mu_hat: float
-    moe: float
-    hours: float
-    n_draws: int  # primary units (triples for SRS)
-    n_triples: int  # triples annotated
-    n_entities: int  # entity identifications charged
-    stop_reason: str  # "moe", "max_units" or "exhausted" (see sample_until)
 
 
 @dataclass(frozen=True)
@@ -69,7 +58,7 @@ class TrialsSummary:
     mu_p975: float  # for highly-accurate KGs (YAGO) as in Table 5's note
 
     @classmethod
-    def from_trials(cls, design: str, trials: list[TrialResult]) -> "TrialsSummary":
+    def from_trials(cls, design: str, trials: list[EvalResult]) -> "TrialsSummary":
         def sd(a: np.ndarray) -> float:
             return float(a.std(ddof=1)) if len(trials) > 1 else 0.0
 
@@ -89,7 +78,7 @@ class TrialsSummary:
         )
 
 
-def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
+def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> EvalResult:
     """Iterative SRS: batches of cfg.batch_triples without replacement."""
     cum = np.cumsum(pop.sizes)
     M = int(cum[-1])
@@ -117,7 +106,7 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
         clusters_seen.update(ci.tolist())
         return True
 
-    est, _, reason = sample_until(
+    est, n_batches, reason = sample_until(
         cfg,
         cfg.min_triples,
         lambda: estimate_srs(np.asarray(labels, dtype=np.float64), alpha=cfg.alpha),
@@ -125,26 +114,21 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
     )
     n = est.n_units
     hours = DEFAULT_COST.cost_hours(len(clusters_seen), n)
-    return TrialResult(est.mu_hat, est.moe, hours, n, n, len(clusters_seen), reason)
+    return EvalResult(est, hours, n, n, n_batches, reason, len(clusters_seen))
 
 
 def _pps_draws(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray:
     """k PPS-with-replacement cluster indices (prob M_i / M)."""
-    return weighted_cluster_draws(pop.sizes, k, rng)
-
-
-def second_stage(
-    sizes: np.ndarray, taus: np.ndarray, m: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """TWCS second stage of drawn clusters: s = min(M_i, m) triples without
-    replacement, of which good ~ Hypergeometric(tau_i, M_i - tau_i, s)."""
-    s = np.minimum(sizes, m)
-    return s, rng.hypergeometric(taus, sizes - taus, s)
+    return cluster_sampling.weighted_cluster_draws(pop.sizes, k, rng)
 
 
 def _twcs_loop(
-    strata: list[Population], w: np.ndarray, m: int, rng: np.random.Generator, cfg: EvalConfig
-) -> TrialResult:
+    strata: list[Population],
+    w: np.ndarray,
+    m: int | None,
+    rng: np.random.Generator,
+    cfg: EvalConfig,
+) -> EvalResult:
     """Iterative stratified TWCS (Sec 5.3) over ``strata`` with triple
     weights ``w``: per-batch draws allocated to strata proportionally to
     W_h (>= 1 each), Eq 13 combination for the estimate and MoE."""
@@ -155,8 +139,7 @@ def _twcs_loop(
     def draw() -> bool:
         nonlocal n_triples
         for j, sub in enumerate(strata):
-            ci = _pps_draws(sub, int(alloc[j]), rng)
-            s, good = second_stage(sub.sizes[ci], sub.taus[ci], m, rng)
+            s, good = sub.second_stage(_pps_draws(sub, int(alloc[j]), rng), m, rng)
             means[j].extend((good / s).tolist())
             n_triples += int(s.sum())
         return True
@@ -165,23 +148,25 @@ def _twcs_loop(
         per = [estimate_cluster_means(np.asarray(v), alpha=cfg.alpha) for v in means]
         return combine_stratified(w, per)
 
-    est, _, reason = sample_until(cfg, cfg.min_draws, estimate, draw)
+    est, n_batches, reason = sample_until(cfg, cfg.min_draws, estimate, draw)
     n_tasks = est.n_units
     hours = DEFAULT_COST.cost_hours(n_tasks, n_triples)
-    return TrialResult(est.mu_hat, est.moe, hours, n_tasks, n_triples, n_tasks, reason)
+    return EvalResult(est, hours, n_tasks, n_triples, n_batches, reason, n_tasks)
 
 
-def twcs_trial(pop: Population, m: int, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
+def twcs_trial(
+    pop: Population, m: int | None, rng: np.random.Generator, cfg: EvalConfig
+) -> EvalResult:
     """Iterative TWCS: stratified TWCS with one stratum (W_1 = 1)."""
     return _twcs_loop([pop], np.ones(1), m, rng, cfg)
 
 
-def wcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
-    """Iterative WCS: TWCS with a cap no cluster reaches (full-cluster annotation)."""
-    return twcs_trial(pop, np.iinfo(np.int64).max, rng, cfg)
+def wcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> EvalResult:
+    """Iterative WCS: TWCS without a second-stage cap (full-cluster annotation)."""
+    return twcs_trial(pop, None, rng, cfg)
 
 
-def rcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
+def rcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> EvalResult:
     """Iterative RCS: uniform cluster draws without replacement.
 
     RCS converges orders of magnitude slower than the other designs on
@@ -200,25 +185,19 @@ def rcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
         take = min(max(cfg.batch_clusters, pos // 4), pop.n_clusters - pos)
         if take <= 0:
             return False
-        ci = order[pos : pos + take]
-        taus.extend(pop.taus[ci].astype(float).tolist())
-        n_triples += int(pop.sizes[ci].sum())
+        s, good = pop.second_stage(order[pos : pos + take], None, rng)
+        taus.extend(good.astype(float).tolist())
+        n_triples += int(s.sum())
         return True
 
-    est, _, reason = sample_until(
-        cfg,
-        cfg.min_draws,
-        lambda: estimate_rcs(
-            np.asarray(taus),
-            n_clusters=pop.n_clusters,
-            n_triples=pop.n_triples,
-            alpha=cfg.alpha,
-        ),
-        draw,
-    )
+    def estimate() -> Estimate:
+        N, M = pop.n_clusters, pop.n_triples
+        return estimate_rcs(np.asarray(taus), n_clusters=N, n_triples=M, alpha=cfg.alpha)
+
+    est, n_batches, reason = sample_until(cfg, cfg.min_draws, estimate, draw)
     n_drawn = est.n_units
     hours = DEFAULT_COST.cost_hours(n_drawn, n_triples)
-    return TrialResult(est.mu_hat, est.moe, hours, n_drawn, n_triples, n_drawn, reason)
+    return EvalResult(est, hours, n_drawn, n_triples, n_batches, reason, n_drawn)
 
 
 def stratified_twcs_trial(
@@ -227,7 +206,7 @@ def stratified_twcs_trial(
     m: int,
     rng: np.random.Generator,
     cfg: EvalConfig,
-) -> TrialResult:
+) -> EvalResult:
     """Iterative stratified TWCS: ``pop`` split by its stratum labels."""
     strata = np.asarray(strata)
     masks = [strata == h for h in np.unique(strata)]
@@ -254,7 +233,7 @@ def run_trials(
     strata: np.ndarray | None = None,
 ) -> TrialsSummary:
     """Repeat a design ``n_trials`` times; summarise cost and estimate."""
-    trials: list[TrialResult] = []
+    trials: list[EvalResult] = []
     for t in range(n_trials):
         rng = np.random.default_rng(seed + 7919 * t)
         if design == "twcs":

@@ -33,12 +33,6 @@ class TestAnnotateTasks:
         ann.annotate_tasks(_task_sample())
         assert ann.hours == pytest.approx(200 / 3600)
 
-    def test_accepts_spark_dataframe(self, spark):
-        ann = SimulatedAnnotator()
-        out = ann.annotate_tasks(spark.createDataFrame(_task_sample()))
-        assert len(out) == 5
-        assert ann.ledger.n_identifications == 2
-
 
 class TestAnnotateTriples:
     def test_srs_identification_dedup(self):

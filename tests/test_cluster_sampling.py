@@ -30,22 +30,16 @@ def pps_subjects(pop, n, *, seed):
     return pop.subjects[cs.weighted_cluster_draws(pop.sizes, n, np.random.default_rng(seed))]
 
 
-def sample(nell_df, subjects, m, *, seed, draw_id_offset=0):
+def sample(nell_df, subjects, m, *, seed):
     """The second-stage sample of ``subjects`` as an evaluation batch takes it."""
     triples = cs.draws_to_triples(nell_df, subjects)
-    return cs.second_stage_sample(
-        triples, subjects, m, np.random.default_rng(seed), draw_id_offset=draw_id_offset
-    )
+    return cs.second_stage_sample(triples, subjects, m, np.random.default_rng(seed))
 
 
 class TestWeightedDraws:
     def test_exact_draw_count_with_replacement(self, nell_df, pop):
         draws = sample(nell_df, pps_subjects(pop, 40, seed=1), None, seed=1)
         assert sorted(draws["draw_id"].unique()) == list(range(40))
-
-    def test_draw_id_offset(self, nell_df, pop):
-        draws = sample(nell_df, pps_subjects(pop, 5, seed=1), None, seed=1, draw_id_offset=100)
-        assert sorted(draws["draw_id"].unique()) == list(range(100, 105))
 
     def test_pps_inclusion_frequencies(self, pop, nell):
         """Cluster selection frequency tracks M_i / M (Hansen-Hurwitz)."""

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from repro.core.cluster_stats import Population
-from repro.core.framework import EvalConfig
+from repro.core.framework import EvalConfig, EvalResult
+from repro.core.stats import Estimate
 from repro.core.stratification import (
     np_assign_stratum_by_size,
     np_assign_stratum_oracle,
@@ -158,8 +159,8 @@ class TestDesignOrdering:
 class TestSummary:
     def test_from_trials_statistics(self):
         trials = [
-            mc.TrialResult(0.8, 0.05, 1.0, 10, 20, 10, "moe"),
-            mc.TrialResult(0.9, 0.05, 2.0, 20, 40, 20, "moe"),
+            EvalResult(Estimate(0.8, 0.0006, 10, 0.05), 1.0, 10, 20, 1, "moe", 10),
+            EvalResult(Estimate(0.9, 0.0006, 20, 0.05), 2.0, 20, 40, 1, "moe", 20),
         ]
         s = mc.TrialsSummary.from_trials("x", trials)
         assert s.mu_mean == pytest.approx(0.85)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster_stats import Population
-from repro.core.framework import evaluate_static
+from repro.core.framework import EvalConfig, evaluate_static
 from repro.kg.generator import nell_like
 from repro.sim import mc
 
@@ -54,6 +54,20 @@ class TestTwcsEquivalence:
     def test_per_draw_triple_cap_matches(self, nell_df):
         r = evaluate_static(nell_df, design="twcs", m=2, seed=200)
         assert r.n_triples <= 2 * r.n_draws
+
+
+class TestSameTrials:
+    """Spark RCS/WCS are the MC trials on a Spark population: for a seed
+    they draw the same clusters and give the same result."""
+
+    @pytest.mark.parametrize("design", ["wcs", "rcs"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_evaluate_static_equals_mc_trial(self, nell_df, nell_pop, design, seed):
+        spark = evaluate_static(nell_df, design=design, seed=seed)
+        trial = {"wcs": mc.wcs_trial, "rcs": mc.rcs_trial}[design]
+        sim = trial(nell_pop, np.random.default_rng(seed), EvalConfig())
+        fields = ("mu_hat", "moe", "hours", "n_draws", "n_triples", "stop_reason")
+        assert [getattr(spark, f) for f in fields] == [getattr(sim, f) for f in fields]
 
 
 class TestSrsEquivalence:

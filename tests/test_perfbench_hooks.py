@@ -7,11 +7,14 @@ the trial functions ``run_trials`` dispatches to. Neither needs Spark.
 """
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from perfbench.tracing import Tracer
 from perfbench.workloads import Evolving, McStatic, SparkStatic
+from repro.core import cluster_sampling
 from repro.core.cluster_stats import Population
+from repro.core.framework import EvalConfig
 from repro.core.stratification import np_assign_stratum_by_size, np_cum_sqrt_f_boundaries
 from repro.kg.generator import nell_like
 from repro.sim import mc
@@ -54,3 +57,20 @@ def test_run_trials_reaches_every_design_through_the_hooks(monkeypatch):
         calls.clear()
         mc.run_trials(pop, design, n_trials=2, seed=1, m=3, strata=strata)
         assert calls[design] == 2, design
+
+
+def test_mc_draws_through_the_cluster_sampling_module(monkeypatch):
+    """Spark cluster designs draw in ``mc``; spark-static's ``pps_draw``
+    span wraps ``cluster_sampling.weighted_cluster_draws``, so ``mc`` has
+    to look that name up on the module at call time."""
+    calls = Counter()
+    kernel = cluster_sampling.weighted_cluster_draws
+
+    def counting(*args, **kwargs):
+        calls["pps"] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cluster_sampling, "weighted_cluster_draws", counting)
+    pop = Population.from_synthetic(nell_like())
+    mc.twcs_trial(pop, 3, np.random.default_rng(1), EvalConfig())
+    assert calls["pps"] > 0

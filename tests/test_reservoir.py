@@ -55,6 +55,14 @@ class TestReservoirEvaluator:
         assert len(ev.members) >= size0  # merge keeps size; top-up may grow
         assert est.moe <= ev.cfg.eps
 
+    def test_stops_exhausted_below_min_draws(self):
+        """Fewer clusters than min_draws: the top-up runs the pool dry."""
+        tiny = Population(np.arange(3), np.array([2, 2, 2]), np.array([2, 1, 0]))
+        ev = ReservoirEvaluator(m=5)
+        est = ev.initialise(tiny, np.random.default_rng(4))
+        assert ev.stop_reason == "exhausted"
+        assert est.n_units == 3
+
     def test_update_before_initialise_rejected(self, delta_pop):
         ev = ReservoirEvaluator(m=5)
         with pytest.raises(RuntimeError):

@@ -38,6 +38,14 @@ class TestAlgorithm2:
         assert est.moe <= ev.cfg.eps
         assert len(ev.strata[1].means) >= 2  # new stratum needs a variance
 
+    def test_update_stops_on_moe(self, base_pop, delta_pop):
+        ev = StratifiedIncrementalEvaluator(m=5)
+        rng = np.random.default_rng(4)
+        ev.initialise(base_pop, rng)
+        est = ev.apply_update(delta_pop, rng)
+        assert ev.stop_reason == "moe"
+        assert est.moe <= ev.cfg.eps
+
     def test_reuses_all_base_annotations(self, base_pop, delta_pop):
         """SS never discards base-stratum draws (its edge over RS)."""
         ev = StratifiedIncrementalEvaluator(m=5)
