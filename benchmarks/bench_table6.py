@@ -4,7 +4,7 @@ from repro.tables import table6
 from repro.tables.common import n_trials
 
 
-def test_table6(benchmark, spark):
-    rows = run_once(benchmark, lambda: table6.compute(spark, trials=n_trials(300)))
+def test_table6(benchmark):
+    rows = run_once(benchmark, lambda: table6.compute(trials=n_trials(300)))
     assert len(rows) == 4
     save("table6", table6.table_text(rows))

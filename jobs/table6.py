@@ -1,14 +1,10 @@
-"""spark-submit entrypoint for Table 6 (TWCS vs KGEval)."""
-import sys
-from pathlib import Path
+"""Entrypoint for Table 6 (TWCS vs KGEval).
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _session import get_session  # noqa: E402
-
-from repro.tables import table6  # noqa: E402
+KGEval's coupling graph and inference and the TWCS Monte-Carlo trials
+all run in the driver, so it runs as a plain python script too.
+"""
+from repro.tables import table6
 
 if __name__ == "__main__":
-    spark = get_session("table6")
-    rows = table6.compute(spark)
+    rows = table6.compute()
     print(table6.table_text(rows))
-    spark.stop()

@@ -1,46 +1,35 @@
-"""Cluster statistics over a triple-level KG DataFrame (Table 2 notation).
+"""Cluster statistics (Table 2 notation).
 
 The entity cluster G[e] is the set of triples sharing subject e
-(Sec 2.1). All sampling designs consume the per-cluster aggregate
-(M_i, tau_i); this module computes it with a Catalyst ``groupBy`` and
-exposes the population summaries (N, M, mu(G)) used everywhere else.
+(Sec 2.1). All sampling designs consume the per-cluster sizes M_i; this
+module computes them over a Spark KG with a Catalyst ``groupBy`` and
+holds the driver-side ``Population`` (M_i, tau_i) that the Monte-Carlo
+layer and the evolving evaluators sample from.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
 def cluster_stats_df(kg: DataFrame) -> DataFrame:
-    """(subject, size, tau): cluster size M_i and correct count tau_i.
+    """(subject, size): cluster size M_i per subject.
 
-    ``tau`` aggregates the hidden gold label; the Spark samplers select
-    only ``subject`` and ``size``, while ``tau`` feeds the Monte-Carlo
-    ``Population`` and oracle stratification.
+    Only the simulated annotator reads the hidden ``label`` column.
     """
-    return kg.groupBy("subject").agg(
-        F.count(F.lit(1)).alias("size"),
-        F.sum("label").cast("long").alias("tau"),
-    )
-
-
-def kg_accuracy(kg: DataFrame) -> float:
-    """Gold accuracy mu(G) = mean label, computed by Spark aggregation."""
-    row = kg.agg(F.avg("label").alias("mu")).collect()[0]
-    return float(row["mu"])
+    return kg.groupBy("subject").agg(F.count(F.lit(1)).alias("size"))
 
 
 @dataclass(frozen=True)
 class Population:
     """Driver-side snapshot of the cluster-level population.
 
-    Arrays are ordered by subject id. This is the interface between the
-    Spark layer (which aggregates the KG once) and both the samplers'
-    design computations (V(m), optimal m) and the Monte-Carlo layer.
+    Arrays are ordered by subject id. This is what the Monte-Carlo
+    trials, the design computations (V(m), optimal m) and the evolving
+    evaluators sample from.
     """
 
     subjects: np.ndarray  # int64
@@ -71,20 +60,6 @@ class Population:
             return sizes, taus
         s = np.minimum(sizes, m)
         return s, rng.hypergeometric(taus, sizes - taus, s)
-
-    @classmethod
-    def from_kg(cls, kg: DataFrame) -> "Population":
-        """Aggregate a triple-level Spark KG down to cluster arrays."""
-        return cls.from_pandas(cluster_stats_df(kg).toPandas())
-
-    @classmethod
-    def from_pandas(cls, pdf: pd.DataFrame) -> "Population":
-        pdf = pdf.sort_values("subject").reset_index(drop=True)
-        return cls(
-            subjects=pdf["subject"].to_numpy(np.int64),
-            sizes=pdf["size"].to_numpy(np.int64),
-            taus=pdf["tau"].to_numpy(np.int64),
-        )
 
     @classmethod
     def from_synthetic(cls, kg) -> "Population":

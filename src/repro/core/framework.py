@@ -172,7 +172,7 @@ class _SparkClusters:
     """
 
     def __init__(self, kg: DataFrame, ann: SimulatedAnnotator):
-        stats = cluster_stats_df(kg).select("subject", "size").toPandas().sort_values("subject")
+        stats = cluster_stats_df(kg).toPandas().sort_values("subject")
         self.kg, self.ann = kg, ann
         self.subjects = stats["subject"].to_numpy(np.int64)
         self.sizes = stats["size"].to_numpy(np.int64)

@@ -38,20 +38,3 @@ def estimate_srs(labels: np.ndarray, *, alpha: float) -> Estimate:
     mu = float(y.mean())
     return Estimate(mu_hat=mu, var_hat=mu * (1.0 - mu) / n, n_units=n, alpha=alpha)
 
-
-def srs_expected_entities(sizes: np.ndarray, n_s: int) -> float:
-    """E[number of distinct entities in an SRS sample of n_s triples]:
-    sum_i (1 - (1 - M_i/M)^{n_s}) — the identification-cost term in Eq 6."""
-    m = np.asarray(sizes, dtype=np.float64)
-    total = m.sum()
-    return float(np.sum(1.0 - (1.0 - m / total) ** n_s))
-
-
-def srs_required_n(mu: float, *, alpha: float, eps: float) -> int:
-    """Closed-form sample size n_s = mu(1-mu) z^2 / eps^2 (Sec 5.1)."""
-    from repro.core.stats import z_value
-
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    z = z_value(alpha)
-    return int(np.ceil(mu * (1.0 - mu) * z * z / (eps * eps)))

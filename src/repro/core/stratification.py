@@ -5,34 +5,21 @@ Two strategies from the paper:
 - **Size stratification**: strata over cluster sizes chosen by the
   Cumulative Square-root-of-Frequency rule (Dalenius & Hodges): build
   the size histogram, accumulate sqrt(frequency), and cut the cumulative
-  curve into H equal intervals. The histogram is a Spark aggregation;
-  the (tiny) boundary computation runs in the driver.
+  curve into H equal intervals.
 - **Oracle stratification**: strata by *true* cluster accuracy mu_i —
   the perfect-but-impractical reference whose cost lower-bounds what any
   stratification signal could achieve (Sec 7.2.3).
 
-Within each stratum the framework runs TWCS; Eq 13 combines the
+Both run in the driver on the population's cluster arrays. Within each
+stratum ``mc.stratified_twcs_trial`` runs TWCS, and Eq 13 combines the
 per-stratum estimates with weights W_h = M[h] / M.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
-def size_histogram(clusters: DataFrame) -> pd.DataFrame:
-    """(size, freq) histogram of cluster sizes via Spark groupBy."""
-    return (
-        clusters.groupBy("size")
-        .agg(F.count(F.lit(1)).alias("freq"))
-        .orderBy("size")
-        .toPandas()
-    )
-
-
-def cum_sqrt_f_boundaries(sizes_hist: pd.DataFrame, n_strata: int) -> np.ndarray:
+def np_cum_sqrt_f_boundaries(sizes: np.ndarray, n_strata: int) -> np.ndarray:
     """Upper size bounds (inclusive) per stratum from the cum-sqrt-F rule.
 
     Returns an increasing array of length ``n_strata``; the last entry is
@@ -41,75 +28,23 @@ def cum_sqrt_f_boundaries(sizes_hist: pd.DataFrame, n_strata: int) -> np.ndarray
     """
     if n_strata < 1:
         raise ValueError("n_strata must be >= 1")
-    hist = sizes_hist.sort_values("size")
-    cum = np.sqrt(hist["freq"].to_numpy(np.float64)).cumsum()
-    total = cum[-1]
+    vals, freq = np.unique(np.asarray(sizes), return_counts=True)
+    cum = np.sqrt(freq.astype(np.float64)).cumsum()
     bounds: list[float] = []
     for h in range(1, n_strata):
-        cut = total * h / n_strata
-        idx = int(np.searchsorted(cum, cut))
-        idx = min(idx, len(hist) - 1)
-        b = float(hist["size"].iloc[idx])
+        idx = min(int(np.searchsorted(cum, cum[-1] * h / n_strata)), len(vals) - 1)
+        b = float(vals[idx])
         if not bounds or b > bounds[-1]:
             bounds.append(b)
     bounds.append(float("inf"))
     return np.asarray(bounds)
 
 
-def assign_stratum_by_size(clusters: DataFrame, boundaries: np.ndarray) -> DataFrame:
-    """Add a ``stratum`` column: index of the first boundary >= size.
-
-    Implemented as a broadcast join on the (small) distinct-size mapping
-    rather than a CASE chain, so arbitrarily many strata stay cheap.
-    """
-    spark = clusters.sparkSession
-    sizes = [r["size"] for r in clusters.select("size").distinct().collect()]
-    strat = np.searchsorted(boundaries, np.asarray(sizes, dtype=np.float64), side="left")
-    mapping = spark.createDataFrame(
-        pd.DataFrame({"size": sizes, "stratum": strat.astype(np.int32)})
-    )
-    return clusters.join(F.broadcast(mapping), "size").select(
-        "subject", "size", "tau", "stratum"
-    )
-
-
-def assign_stratum_oracle(clusters: DataFrame, n_strata: int) -> DataFrame:
-    """Oracle strata: equal-width bins over true cluster accuracy tau/size."""
-    mu = F.col("tau") / F.col("size")
-    s = F.least(F.floor(mu * n_strata).cast("int"), F.lit(n_strata - 1))
-    return clusters.withColumn("stratum", s)
-
-
-def strata_weights(clusters_with_stratum: DataFrame) -> pd.DataFrame:
-    """(stratum, n_clusters, n_triples, weight) with weight = M[h] / M."""
-    pdf = (
-        clusters_with_stratum.groupBy("stratum")
-        .agg(
-            F.count(F.lit(1)).alias("n_clusters"),
-            F.sum("size").alias("n_triples"),
-        )
-        .orderBy("stratum")
-        .toPandas()
-    )
-    pdf["weight"] = pdf["n_triples"] / pdf["n_triples"].sum()
-    return pdf
-
-
-# ---------------------------------------------------------------------------
-# numpy mirrors for the Monte-Carlo layer (validated against the Spark
-# versions in tests/test_stratification.py)
-# ---------------------------------------------------------------------------
-
-
-def np_cum_sqrt_f_boundaries(sizes: np.ndarray, n_strata: int) -> np.ndarray:
-    vals, freq = np.unique(np.asarray(sizes), return_counts=True)
-    hist = pd.DataFrame({"size": vals, "freq": freq})
-    return cum_sqrt_f_boundaries(hist, n_strata)
-
-
 def np_assign_stratum_by_size(sizes: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """Stratum index per cluster: the first boundary >= its size."""
     return np.searchsorted(boundaries, np.asarray(sizes, dtype=np.float64), side="left")
 
 
 def np_assign_stratum_oracle(mus: np.ndarray, n_strata: int) -> np.ndarray:
+    """Oracle strata: equal-width bins over true cluster accuracy mu_i."""
     return np.minimum((np.asarray(mus) * n_strata).astype(np.int64), n_strata - 1)

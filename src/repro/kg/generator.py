@@ -125,7 +125,15 @@ class SyntheticKG:
         )
 
     def _to_spark_distributed(self, spark: SparkSession) -> DataFrame:
-        """Driver holds only the entity table; triples come from explode()."""
+        """Driver holds only the entity table; triples come from explode().
+
+        Predicate and object hash (seed, subject, line), so every row's
+        content is fixed by the seed whatever the partitioning.
+        """
+
+        def hashed(k: int, modulus: int):
+            return F.pmod(F.xxhash64(F.lit(self.seed + k), "subject", "_line"), F.lit(modulus))
+
         ent = spark.createDataFrame(self.cluster_pdf())
         return ent.select(
             F.col("subject"),
@@ -133,8 +141,8 @@ class SyntheticKG:
             F.col("tau"),
         ).select(
             "subject",
-            F.floor(F.rand(self.seed + 2000) * _N_PREDICATES).cast("int").alias("predicate"),
-            F.floor(F.rand(self.seed + 3000) * (1 << 40)).cast("long").alias("object"),
+            hashed(2000, _N_PREDICATES).cast("int").alias("predicate"),
+            hashed(3000, 1 << 40).alias("object"),
             (F.col("_line") <= F.col("tau")).cast("int").alias("label"),
         )
 

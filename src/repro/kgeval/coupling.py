@@ -7,82 +7,57 @@ NELL's learned rules and are not available here, so we synthesise a
 coupling graph with the two structural ingredients that matter:
 
 1. **Type-consistency edges**: triples sharing (subject, predicate) are
-   mutually coupled — a Spark self-join on the pair.
+   mutually coupled — a self-merge on the pair.
 2. **Horn-rule cliques**: each triple is assigned to a hidden rule group
-   whose size is 1 + Geometric(p); triples in a group are mutually
-   coupled. The mean group size is the calibration knob that pins the
-   number of human annotations KGEval needs to cover the KG (Table 6:
-   ~140 for NELL => mean component ~13; ~204 for YAGO => mean ~7).
+   drawn uniformly from M/mean_group groups; triples in a group are
+   mutually coupled. The mean group size is the calibration knob that
+   pins the number of human annotations KGEval needs to cover the KG
+   (Table 6: ~140 for NELL, ~204 for YAGO).
 
-``coupling_edges`` returns the undirected edge list as a DataFrame of
-(src, dst) triple ids; KGEval's driver-side inference consumes it
-collected — matching the real system's scalability ceiling, which the
-paper measures (12-18 h machine time on KGs of <2,000 triples).
+The graph is built in pandas on the KG's triple rows, as KGEval's
+inference is centralised: the paper measures it on KGs of under 2,000
+triples (12-18 h machine time). Triple ids follow the (subject,
+predicate, object) sort order and the edges are sorted, so the graph —
+and the inference that walks it — depends only on the KG's content and
+the seed, never on the order of the input rows.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
-def with_triple_ids(kg: DataFrame) -> DataFrame:
-    """Stable dense triple ids (row_number over subject/predicate/object)."""
-    from pyspark.sql import Window
-
-    w = Window.orderBy("subject", "predicate", "object")
-    return kg.withColumn("tid", F.row_number().over(w) - 1)
-
-
-def with_rule_groups(kg_ids: DataFrame, *, mean_group: float, seed: int) -> DataFrame:
-    """Assign hidden Horn-rule group ids with mean group size ``mean_group``.
-
-    A uniformly random group id in [0, M/mean_group) gives group sizes
-    concentrated around the mean (binomial occupancy), which is enough
-    to control the annotate-to-cover ratio.
-    """
-    if mean_group < 1.0:
-        raise ValueError("mean_group must be >= 1")
-    total = kg_ids.count()
-    n_groups = max(1, int(round(total / mean_group)))
-    return kg_ids.withColumn(
-        "rule_group", F.floor(F.rand(seed) * n_groups).cast("long")
-    )
-
-
-def _pairs_within(df: DataFrame, key_cols: list[str]) -> DataFrame:
-    """Undirected edges between all triple pairs sharing the key columns."""
-    a = df.select(*key_cols, F.col("tid").alias("src"))
-    b = df.select(*key_cols, F.col("tid").alias("dst"))
-    return (
-        a.join(b, key_cols)
-        .filter(F.col("src") < F.col("dst"))
-        .select("src", "dst")
-    )
-
-
-def coupling_edges(kg_with_groups: DataFrame) -> DataFrame:
-    """Union of type-consistency and Horn-rule coupling edges, distinct."""
-    type_edges = _pairs_within(kg_with_groups, ["subject", "predicate"])
-    rule_edges = _pairs_within(kg_with_groups, ["rule_group"])
-    return type_edges.unionByName(rule_edges).distinct()
+def _pairs_within(triples: pd.DataFrame, key_cols: list[str]) -> pd.DataFrame:
+    """Undirected edges (src < dst) between all triples sharing the key columns."""
+    keyed = triples[[*key_cols, "tid"]]
+    pairs = keyed.merge(keyed, on=key_cols, suffixes=("_src", "_dst"))
+    pairs = pairs[pairs["tid_src"] < pairs["tid_dst"]]
+    return pd.DataFrame({"src": pairs["tid_src"], "dst": pairs["tid_dst"]})
 
 
 def build_coupling(
-    kg: DataFrame, *, mean_group: float, seed: int
+    kg: pd.DataFrame, *, mean_group: float, seed: int
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """End-to-end: (triples with tid as pandas, edges as pandas).
+    """(triples, edges) of the coupling graph over the KG's triple rows.
 
-    Collecting is intentional: KGEval's inference is centralised (the
-    scalability limitation the paper reports); only the graph
-    construction is distributed.
+    ``kg`` holds (subject, predicate, object, label) rows, as from
+    ``SyntheticKG.to_pandas()``. ``triples`` adds the dense ``tid`` and
+    the hidden ``rule_group``, in tid order; ``edges`` holds the distinct
+    undirected (src, dst) tid pairs, sorted.
     """
-    ids = with_triple_ids(kg)
-    grouped = with_rule_groups(ids, mean_group=mean_group, seed=seed).cache()
-    try:
-        triples = grouped.select("tid", "subject", "predicate", "label").toPandas()
-        edges = coupling_edges(grouped).toPandas()
-    finally:
-        grouped.unpersist()
-    return triples.sort_values("tid").reset_index(drop=True), edges
+    if mean_group < 1.0:
+        raise ValueError("mean_group must be >= 1")
+    # The label only breaks ties between duplicate rows.
+    triples = kg.sort_values(["subject", "predicate", "object", "label"], ignore_index=True)
+    n = len(triples)
+    n_groups = max(1, int(round(n / mean_group)))
+    triples["tid"] = np.arange(n, dtype=np.int64)
+    triples["rule_group"] = np.random.default_rng(seed).integers(0, n_groups, n)
+    edges = (
+        pd.concat(
+            [_pairs_within(triples, ["subject", "predicate"]), _pairs_within(triples, ["rule_group"])]
+        )
+        .drop_duplicates()
+        .sort_values(["src", "dst"], ignore_index=True)
+    )
+    return triples[["tid", "subject", "predicate", "rule_group", "label"]], edges

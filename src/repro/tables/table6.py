@@ -2,21 +2,18 @@
 
 Machine time for sample generation/inference, number of triples
 annotated, annotation hours, and the accuracy estimate. KGEval is the
-inference-propagation substitute (see DESIGN.md); its machine time is
-the measured greedy-selection + propagation loop on the coupled KG —
-the paper's point being that it sits orders of magnitude above TWCS's
-sampling time and grows with KG size, while TWCS stays sub-second.
+inference-propagation substitute (see DESIGN.md): its coupling graph is
+built in pandas from the KG's triple rows, so its cells depend only on
+the KG and the seed. Its machine time is the measured greedy-selection +
+propagation loop on the coupled KG — the paper's point being that it
+sits orders of magnitude above TWCS's sampling time and grows with KG
+size, while TWCS stays sub-second. No Spark session is needed.
 """
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from pyspark.sql import SparkSession
-
 from repro.core.cluster_stats import Population
-from repro.core.framework import EvalConfig
 from repro.core.variance import optimal_m
 from repro.kg.generator import nell_like, yago_like
 from repro.kgeval.coupling import build_coupling
@@ -36,17 +33,16 @@ PAPER = {
 _MEAN_GROUP = {"NELL": 9.5, "YAGO": 6.0}
 
 
-def compute(spark: SparkSession, *, trials: int | None = None, seed: int = 3) -> list[dict]:
+def compute(*, trials: int | None = None, seed: int = 3) -> list[dict]:
     t = trials if trials is not None else n_trials(1000)
     rows = []
     for name, gen in [("NELL", nell_like), ("YAGO", yago_like)]:
         kg = gen()
         pop = Population.from_synthetic(kg)
 
-        # --- KGEval: coupling graph built by Spark joins, inference on
-        # the collected graph (its real-world scalability ceiling).
-        sdf = kg.to_spark(spark)
-        triples, edges = build_coupling(sdf, mean_group=_MEAN_GROUP[name], seed=seed)
+        # --- KGEval: coupling graph and inference in the driver (its
+        # real-world scalability ceiling).
+        triples, edges = build_coupling(kg.to_pandas(), mean_group=_MEAN_GROUP[name], seed=seed)
         kge = kgeval_evaluate(triples, edges, seed=seed)
 
         # --- TWCS: MC summary for costs + measured sampling time.

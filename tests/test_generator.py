@@ -1,5 +1,6 @@
 """Tests for the synthetic KG generators (Table 3 data characteristics)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.kg.generator import (
@@ -139,3 +140,20 @@ class TestSparkMaterialisation:
         sa = a.agg({"label": "sum"}).collect()[0][0]
         sb = b.agg({"label": "sum"}).collect()[0][0]
         assert sa == sb
+
+    def test_distributed_path_independent_of_partitioning(self, spark, monkeypatch):
+        """Every row's content is fixed by the seed, not by how Spark
+        splits the entity table."""
+        kg = movie_like(sf=0.002)
+        cols = ["subject", "predicate", "object", "label"]
+
+        def rows():
+            pdf = kg.to_spark(spark, distributed=True).toPandas()
+            return pdf.sort_values(cols, ignore_index=True)
+
+        want = rows()
+        create = spark.createDataFrame
+        monkeypatch.setattr(
+            spark, "createDataFrame", lambda *a, **kw: create(*a, **kw).repartition(7)
+        )
+        pd.testing.assert_frame_equal(rows(), want)

@@ -2,12 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.srs import (
-    estimate_srs,
-    srs_expected_entities,
-    srs_required_n,
-    srs_sample,
-)
+from repro.core.srs import estimate_srs, srs_sample
 from repro.kg.generator import nell_like
 
 
@@ -58,34 +53,3 @@ class TestSrsEstimator:
     def test_empty_sample(self):
         assert estimate_srs(np.array([]), alpha=0.05).moe == float("inf")
 
-
-class TestSrsDesignFormulas:
-    def test_required_n_closed_form(self):
-        # n = p(1-p) z^2 / eps^2 at p=0.9, eps=5%, alpha=5% -> 139.
-        assert srs_required_n(0.9, alpha=0.05, eps=0.05) == 139
-
-    def test_required_n_peaks_at_half(self):
-        assert srs_required_n(0.5, alpha=0.05, eps=0.05) > srs_required_n(
-            0.9, alpha=0.05, eps=0.05
-        )
-
-    def test_expected_entities_bounds(self):
-        sizes = np.array([1, 2, 3, 4])
-        # 0 draws -> 0 entities; huge draws -> all entities.
-        assert srs_expected_entities(sizes, 0) == 0.0
-        assert srs_expected_entities(sizes, 10_000) == pytest.approx(4.0)
-
-    def test_expected_entities_matches_simulation(self):
-        rng = np.random.default_rng(0)
-        sizes = np.array([1, 1, 2, 5, 10])
-        cum = np.cumsum(sizes)
-        n_s = 6
-        hits = []
-        for _ in range(4000):
-            draws = rng.choice(cum[-1], size=n_s, replace=False)
-            hits.append(len(np.unique(np.searchsorted(cum, draws, side="right"))))
-        # The closed form assumes with-replacement draws; drawing without
-        # replacement spreads over strictly more entities, so the formula
-        # is a lower bound that stays close for n_s << M (Sec 5.1).
-        expect = srs_expected_entities(sizes, n_s)
-        assert expect * 0.98 <= np.mean(hits) <= expect * 1.15

@@ -1,44 +1,22 @@
 """Tests for stratification (Sec 5.3): cum-sqrt-F boundaries, stratum
-assignment (Spark vs numpy mirrors), weights, and variance reduction."""
+assignment, strata weights, and variance reduction."""
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.core.cluster_stats import Population, cluster_stats_df
+from repro.core.cluster_stats import Population
+from repro.core.framework import EvalConfig
 from repro.core.stratification import (
-    assign_stratum_by_size,
-    assign_stratum_oracle,
-    cum_sqrt_f_boundaries,
     np_assign_stratum_by_size,
     np_assign_stratum_oracle,
     np_cum_sqrt_f_boundaries,
-    size_histogram,
-    strata_weights,
 )
-from repro.kg.generator import movie_like, nell_like
-from repro.oracle import assert_equivalent
+from repro.kg.generator import movie_like
+from repro.sim import mc
 
 
 @pytest.fixture(scope="module")
 def movie_small():
     return movie_like(sf=0.003)
-
-
-@pytest.fixture(scope="module")
-def clusters(spark, movie_small):
-    return cluster_stats_df(movie_small.to_spark(spark)).cache()
-
-
-class TestSizeHistogram:
-    def test_oracle(self, spark, movie_small, clusters):
-        got = spark.createDataFrame(size_histogram(clusters))
-        assert_equivalent(
-            got,
-            "SELECT size, COUNT(*) AS freq FROM "
-            "(SELECT subject, COUNT(*) AS size FROM kg GROUP BY subject) "
-            "GROUP BY size",
-            kg=movie_small.to_pandas(),
-        )
 
 
 class TestBoundaries:
@@ -53,33 +31,20 @@ class TestBoundaries:
 
     def test_balances_sqrt_frequency_mass(self):
         # Uniform histogram over sizes 1..100: cuts land near 50.
-        hist = pd.DataFrame({"size": np.arange(1, 101), "freq": np.ones(100)})
-        b = cum_sqrt_f_boundaries(hist, 2)
+        b = np_cum_sqrt_f_boundaries(np.arange(1, 101), 2)
         assert 40 <= b[0] <= 60
 
     def test_degenerate_fewer_sizes_than_strata(self):
-        hist = pd.DataFrame({"size": [1, 2], "freq": [5, 5]})
-        b = cum_sqrt_f_boundaries(hist, 5)
+        b = np_cum_sqrt_f_boundaries(np.array([1] * 5 + [2] * 5), 5)
         assert b[-1] == float("inf")
         assert (np.diff(b[:-1]) > 0).all()
 
     def test_rejects_zero_strata(self):
         with pytest.raises(ValueError):
-            cum_sqrt_f_boundaries(pd.DataFrame({"size": [1], "freq": [1]}), 0)
+            np_cum_sqrt_f_boundaries(np.array([1]), 0)
 
 
 class TestAssignment:
-    def test_spark_matches_numpy_mirror(self, clusters, movie_small):
-        b = np_cum_sqrt_f_boundaries(movie_small.sizes, 4)
-        got = (
-            assign_stratum_by_size(clusters, b)
-            .orderBy("subject")
-            .toPandas()["stratum"]
-            .to_numpy()
-        )
-        want = np_assign_stratum_by_size(movie_small.sizes, b)
-        assert (got == want).all()
-
     def test_all_strata_nonempty(self, movie_small):
         b = np_cum_sqrt_f_boundaries(movie_small.sizes, 4)
         s = np_assign_stratum_by_size(movie_small.sizes, b)
@@ -90,24 +55,25 @@ class TestAssignment:
         s = np_assign_stratum_oracle(mus, 4)
         assert s.tolist() == [0, 0, 2, 3, 3]
 
-    def test_oracle_spark_matches_numpy(self, clusters, movie_small):
-        got = (
-            assign_stratum_oracle(clusters, 4)
-            .orderBy("subject")
-            .toPandas()["stratum"]
-            .to_numpy()
-        )
-        want = np_assign_stratum_oracle(movie_small.cluster_accuracies, 4)
-        assert (got == want).all()
-
 
 class TestStrataWeights:
-    def test_weights_sum_to_one_and_match_counts(self, clusters, movie_small):
-        b = np_cum_sqrt_f_boundaries(movie_small.sizes, 3)
-        w = strata_weights(assign_stratum_by_size(clusters, b))
-        assert w["weight"].sum() == pytest.approx(1.0)
-        assert w["n_triples"].sum() == movie_small.n_triples
-        assert w["n_clusters"].sum() == movie_small.n_entities
+    def test_weights_sum_to_one_and_match_counts(self, monkeypatch, movie_small):
+        """stratified_twcs_trial splits the population by stratum and
+        weighs stratum h by W_h = M[h] / M (Eq 13)."""
+        seen = {}
+
+        def capture(strata, w, m, rng, cfg):
+            seen.update(strata=strata, w=w)
+
+        monkeypatch.setattr(mc, "_twcs_loop", capture)
+        pop = Population.from_synthetic(movie_small)
+        s = np_assign_stratum_by_size(pop.sizes, np_cum_sqrt_f_boundaries(pop.sizes, 3))
+        mc.stratified_twcs_trial(pop, s, 5, np.random.default_rng(0), EvalConfig())
+        subs, w = seen["strata"], seen["w"]
+        assert w.sum() == pytest.approx(1.0)
+        assert sum(sub.n_triples for sub in subs) == movie_small.n_triples
+        assert sum(sub.n_clusters for sub in subs) == movie_small.n_entities
+        assert w == pytest.approx([sub.n_triples / movie_small.n_triples for sub in subs])
 
 
 class TestVarianceReduction:

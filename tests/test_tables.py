@@ -95,8 +95,8 @@ class TestTable5:
 
 class TestTable6:
     @pytest.fixture(scope="class")
-    def rows(self, spark):
-        return table6.compute(spark, trials=30)
+    def rows(self):
+        return table6.compute(trials=30)
 
     def test_twcs_beats_kgeval_on_annotation_cost(self, rows):
         for kg in ("NELL", "YAGO"):
