@@ -9,6 +9,7 @@ layer and the evolving evaluators sample from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from pyspark.sql import DataFrame
@@ -40,7 +41,7 @@ class Population:
     def n_clusters(self) -> int:
         return int(len(self.sizes))
 
-    @property
+    @cached_property  # read on every SS estimate, for each stratum
     def n_triples(self) -> int:
         return int(self.sizes.sum())
 

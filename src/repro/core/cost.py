@@ -13,10 +13,15 @@ Two accounting conventions, both from the paper:
 - **Cluster designs** pay c1 once per cluster *draw* (Eq 11's upper
   bound): WCS/TWCS draw with replacement, and each draw is prepared as
   its own Evaluation Task.
+
+Every static evaluation, Spark or Monte-Carlo, is charged Eq 4 once, by
+``core.framework.sample_until`` on its batches' entities and triples.
+RS and SS keep a ``CostLedger``: their cost spans Algorithm 1's
+replacements and several loops. KGEval charges per annotation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -38,18 +43,12 @@ DEFAULT_COST = CostParams()
 
 @dataclass
 class CostLedger:
-    """Accumulates annotation effort across the iterative framework.
+    """The annotation effort of an incremental evaluator (RS/SS): each
+    ``charge_task(n_triples)`` is one Evaluation Task, a per-draw entity
+    identification plus its triples."""
 
-    ``charge_task(n_triples)`` records one Evaluation Task: a
-    per-draw entity identification plus its triples. ``charge_srs_batch``
-    records an SRS batch, charging identification only for subjects not
-    seen in *any* earlier batch (the sample pool groups by subject).
-    """
-
-    params: CostParams = field(default_factory=CostParams)
     n_identifications: int = 0
     n_validations: int = 0
-    _seen_subjects: set = field(default_factory=set)
 
     def charge_task(self, n_triples: int) -> None:
         if n_triples < 0:
@@ -57,16 +56,9 @@ class CostLedger:
         self.n_identifications += 1
         self.n_validations += n_triples
 
-    def charge_srs_batch(self, subjects) -> None:
-        for s in subjects:
-            if s not in self._seen_subjects:
-                self._seen_subjects.add(s)
-                self.n_identifications += 1
-            self.n_validations += 1
-
     @property
     def seconds(self) -> float:
-        return self.params.cost_seconds(self.n_identifications, self.n_validations)
+        return DEFAULT_COST.cost_seconds(self.n_identifications, self.n_validations)
 
     @property
     def hours(self) -> float:

@@ -5,19 +5,22 @@ until the margin of error drops to the user threshold. ``sample_until``
 is that loop, and the only copy of its stopping rule: the Spark
 evaluations here, the Monte-Carlo trials (``repro.sim.mc``) and the
 evolving evaluators (``repro.evolving``) each supply just a ``draw``
-step (what to sample, how to charge its cost) and an ``estimate``.
+step and an ``estimate``. Each draw reports its batch's entities
+identified and triples annotated; the loop adds them up and charges the
+Eq 4 cost model once (``DEFAULT_COST``), in the ``EvalResult`` it
+returns.
 
 Here the collector is one of the Sec 5 sampling designs over a Spark KG;
-annotation goes through the SimulatedAnnotator (which charges the Eq 4
-cost model); estimation runs in the driver on the (small) accumulated
-sample.
+the SimulatedAnnotator reveals the drawn triples' labels; estimation
+runs in the driver on the (small) accumulated sample.
 
 Batching conventions (calibrated against the paper's reported sample
 sizes; see EXPERIMENTS.md):
 
 - SRS draws triples in batches of ``batch_triples`` (default 25). All
   batches come from one rand-keyed shuffled prefix of the KG, so the
-  pooled sample is a without-replacement SRS of its total size.
+  pooled sample is a without-replacement SRS of its total size. A
+  subject is identified once, in the first batch that draws it (Sec 5.1).
 - RCS/WCS/TWCS are the Monte-Carlo trials ``mc.rcs_trial`` and
   ``mc.twcs_trial`` run on ``_SparkClusters``, a population that
   collects the cluster sizes once per evaluation and whose second stage
@@ -31,7 +34,7 @@ The stopping rule trusts the Normal-approximation MoE only after
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,6 +44,7 @@ from pyspark.sql import DataFrame
 from repro.annotate.annotator import SimulatedAnnotator
 from repro.core import cluster_sampling as cs
 from repro.core.cluster_stats import cluster_stats_df
+from repro.core.cost import DEFAULT_COST
 from repro.core.srs import estimate_srs, srs_sample
 from repro.core.stats import Estimate
 
@@ -58,7 +62,8 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """One evaluation: a Spark ``evaluate_static`` run or a Monte-Carlo trial."""
+    """One run of the Fig 2 loop (``sample_until``): a Spark
+    ``evaluate_static`` run, a Monte-Carlo trial or an RS/SS loop."""
 
     estimate: Estimate
     hours: float
@@ -81,25 +86,32 @@ def sample_until(
     cfg: EvalConfig,
     min_units: int,
     estimate: Callable[[], Estimate],
-    draw: Callable[[], bool],
-) -> tuple[Estimate, int, str]:
+    draw: Callable[[], tuple[int, int] | None],
+) -> EvalResult:
     """The Fig 2 loop: estimate, stop if the sample is good enough, else draw.
 
     Stops with reason "moe" once ``min_units`` units give MoE <= eps,
     "max_units" at the hard safety stop, and "exhausted" when ``draw``
-    returns False because the population has nothing left to sample.
-    Returns the last estimate, the batches drawn and the stop reason.
+    returns None because the population has nothing left to sample.
+    Otherwise ``draw`` returns its batch's (entities identified, triples
+    annotated); their sums are Eq 4's |E'| and |G'|.
     """
-    n_batches = 0
+    n_batches = n_entities = n_triples = 0
     while True:
         est = estimate()
         if est.n_units >= min_units and est.moe <= cfg.eps:
-            return est, n_batches, "moe"
-        if est.n_units >= cfg.max_units:
-            return est, n_batches, "max_units"
-        if not draw():
-            return est, n_batches, "exhausted"
-        n_batches += 1
+            reason = "moe"
+        elif est.n_units >= cfg.max_units:
+            reason = "max_units"
+        elif (batch := draw()) is None:
+            reason = "exhausted"
+        else:
+            n_batches += 1
+            n_entities += batch[0]
+            n_triples += batch[1]
+            continue
+        hours = DEFAULT_COST.cost_hours(n_entities, n_triples)
+        return EvalResult(est, hours, est.n_units, n_triples, n_batches, reason, n_entities)
 
 
 def _shuffled_prefix(df: DataFrame, n: int, *, seed: int) -> pd.DataFrame:
@@ -119,7 +131,6 @@ def evaluate_static(
     m: int | None = None,
     config: EvalConfig = EvalConfig(),
     seed: int = 0,
-    annotator: SimulatedAnnotator | None = None,
 ) -> EvalResult:
     """Run the Fig 2 loop with the given sampling design on a Spark KG.
 
@@ -130,36 +141,39 @@ def evaluate_static(
         raise ValueError(f"unknown design {design!r}")
     if design == "twcs" and (m is None or m < 1):
         raise ValueError("twcs requires m >= 1")
-    ann = annotator or SimulatedAnnotator()
-
     if design == "srs":
-        return _run_srs(kg, config=config, seed=seed, ann=ann)
-    return _run_cluster(kg, design=design, m=m, config=config, seed=seed, ann=ann)
+        return _run_srs(kg, config=config, seed=seed)
+    return _run_cluster(kg, design=design, m=m, config=config, seed=seed)
 
 
-def _run_srs(kg: DataFrame, *, config: EvalConfig, seed: int, ann: SimulatedAnnotator) -> EvalResult:
+def _run_srs(kg: DataFrame, *, config: EvalConfig, seed: int) -> EvalResult:
     total = kg.count()
+    if total == 0:
+        raise ValueError("KG has no triples")
+    ann = SimulatedAnnotator()
     labels: list[float] = []
+    subjects: set[int] = set()
     prefix = _shuffled_prefix(kg, min(total, 16 * config.batch_triples), seed=seed)
 
-    def draw() -> bool:
+    def draw() -> tuple[int, int] | None:
         nonlocal prefix
         lo, hi = len(labels), min(len(labels) + config.batch_triples, total)
         if lo >= total:
-            return False  # exact census
+            return None  # exact census
         while hi > len(prefix) and len(prefix) < total:
             prefix = _shuffled_prefix(kg, min(total, 2 * max(hi, len(prefix))), seed=seed)
-        labels.extend(ann.annotate_triples(prefix.iloc[lo:hi])["label"].tolist())
-        return True
+        batch = ann.annotate_triples(prefix.iloc[lo:hi])
+        labels.extend(batch["label"].tolist())
+        n_seen = len(subjects)
+        subjects.update(batch["subject"].tolist())
+        return len(subjects) - n_seen, len(batch)
 
-    est, n_batches, reason = sample_until(
+    return sample_until(
         config,
         config.min_triples,
         lambda: estimate_srs(np.asarray(labels, dtype=np.float64), alpha=config.alpha),
         draw,
     )
-    n = est.n_units
-    return EvalResult(est, ann.hours, n, n, n_batches, reason, ann.ledger.n_identifications)
 
 
 class _SparkClusters:
@@ -171,12 +185,14 @@ class _SparkClusters:
     drawn clusters, their rows picked by position, and one annotation.
     """
 
-    def __init__(self, kg: DataFrame, ann: SimulatedAnnotator):
+    def __init__(self, kg: DataFrame):
         stats = cluster_stats_df(kg).toPandas().sort_values("subject")
-        self.kg, self.ann = kg, ann
+        self.kg, self.ann = kg, SimulatedAnnotator()
         self.subjects = stats["subject"].to_numpy(np.int64)
         self.sizes = stats["size"].to_numpy(np.int64)
         self.n_clusters, self.n_triples = len(self.sizes), int(self.sizes.sum())
+        if self.n_triples == 0:
+            raise ValueError("KG has no triples")
 
     def second_stage(self, ci, m: int | None, rng) -> tuple[np.ndarray, np.ndarray]:
         """(triples annotated, triples correct) per draw of clusters ``ci``."""
@@ -193,14 +209,11 @@ def _run_cluster(
     m: int | None,
     config: EvalConfig,
     seed: int,
-    ann: SimulatedAnnotator,
 ) -> EvalResult:
     from repro.sim import mc  # mc imports this module
 
-    pop = _SparkClusters(kg, ann)
+    pop = _SparkClusters(kg)
     rng = np.random.default_rng(seed)
     if design == "rcs":
-        res = mc.rcs_trial(pop, rng, config)
-    else:
-        res = mc.twcs_trial(pop, m if design == "twcs" else None, rng, config)
-    return replace(res, hours=ann.hours)  # the annotator's own cost parameters
+        return mc.rcs_trial(pop, rng, config)
+    return mc.twcs_trial(pop, m if design == "twcs" else None, rng, config)

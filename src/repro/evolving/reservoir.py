@@ -83,17 +83,19 @@ class ReservoirEvaluator:
     def _top_up_until_converged(self, rng: np.random.Generator) -> Estimate:
         """The static loop over the spare pool, largest keys first."""
 
-        def draw() -> bool:
+        def draw() -> tuple[int, int] | None:
             if not self.spare:
-                return False
+                return None
             take = min(self.cfg.batch_clusters, len(self.spare))
-            for key, pop, i in self.spare[:take]:
-                self._push(self._annotate(key, pop, i, rng))
+            added = [self._annotate(key, pop, i, rng) for key, pop, i in self.spare[:take]]
+            for mb in added:
+                self._push(mb)
             del self.spare[:take]
-            return True
+            return take, sum(mb.s for mb in added)
 
-        est, _, self.stop_reason = sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)
-        return est
+        res = sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)
+        self.stop_reason = res.stop_reason
+        return res.estimate
 
     def initialise(self, pop: Population, rng: np.random.Generator) -> Estimate:
         """Static phase on the base KG: grow the reservoir until MoE <= eps."""

@@ -49,12 +49,6 @@ class StratifiedIncrementalEvaluator:
     ledger: CostLedger = field(default_factory=CostLedger)
     stop_reason: str | None = None  # the last loop's (see sample_until)
 
-    def _draw_batch(self, st: _Stratum, k: int, rng: np.random.Generator) -> None:
-        s, good = st.pop.second_stage(_pps_draws(st.pop, k, rng), self.m, rng)
-        st.means.extend((good / s).tolist())
-        for si in s:
-            self.ledger.charge_task(int(si))
-
     def estimate(self) -> Estimate:
         w = np.array([st.pop.n_triples for st in self.strata], dtype=np.float64)
         w /= w.sum()
@@ -65,16 +59,20 @@ class StratifiedIncrementalEvaluator:
     def _sample_until_converged(
         self, st: _Stratum, rng: np.random.Generator, batch: int
     ) -> Estimate:
-        """Algorithm 2's while-loop: batches on the new stratum ``st`` only."""
-        min_stratum_draws = 2  # variance of a stratum needs >= 2 draws
-        self._draw_batch(st, min_stratum_draws, rng)
+        """Algorithm 2's while-loop: batches on the new stratum ``st`` only.
+        Its first batch is 2 draws, the fewest that give a variance."""
 
-        def draw() -> bool:
-            self._draw_batch(st, batch, rng)
-            return True
+        def draw() -> tuple[int, int]:
+            k = batch if st.means else 2
+            s, good = st.pop.second_stage(_pps_draws(st.pop, k, rng), self.m, rng)
+            st.means.extend((good / s).tolist())
+            for si in s:
+                self.ledger.charge_task(int(si))
+            return k, int(s.sum())
 
-        est, _, self.stop_reason = sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)
-        return est
+        res = sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)
+        self.stop_reason = res.stop_reason
+        return res.estimate
 
     def initialise(self, pop: Population, rng: np.random.Generator) -> Estimate:
         """Static TWCS evaluation of the base KG G (stratum 0)."""

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.core.cost import CostParams
+from repro.core.cost import DEFAULT_COST
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ def kgeval_evaluate(
     fidelity: float = 0.99,
     coverage_target: float = 1.0,
     n_prop_iters: int = 8,
-    cost: CostParams = CostParams(),
 ) -> KGEvalResult:
     """Run the greedy select-annotate-propagate loop to coverage_target.
 
@@ -179,7 +178,7 @@ def kgeval_evaluate(
     return KGEvalResult(
         mu_hat=mu_hat,
         n_annotated=n_annotated,
-        annotation_hours=cost.cost_hours(n_annotated, n_annotated),
+        annotation_hours=DEFAULT_COST.cost_hours(n_annotated, n_annotated),
         machine_seconds=machine_seconds,
         coverage=float(lab_mask.mean()),
     )

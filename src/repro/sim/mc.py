@@ -23,9 +23,11 @@ The cluster trials read only ``sizes``, ``n_clusters``, ``n_triples``
 and ``second_stage`` of their population, so a Spark KG is one more
 population: ``core.framework.evaluate_static`` runs RCS/WCS/TWCS by
 calling ``rcs_trial``/``twcs_trial`` on one whose second stage fetches
-and annotates the drawn triples. Every trial runs the Fig 2 loop and
-stopping rule ``core.framework.sample_until`` and charges the Eq 4
-cost; a trial supplies only its draw step and estimator.
+and annotates the drawn triples. Every trial supplies only its draw
+step, which reports the batch's entities identified and triples
+annotated, and its estimator; the Fig 2 loop and stopping rule
+``core.framework.sample_until`` charges Eq 4 on their sums and returns
+the trial's ``EvalResult``.
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ import numpy as np
 from repro.core import cluster_sampling
 from repro.core.cluster_sampling import estimate_cluster_means, estimate_rcs
 from repro.core.cluster_stats import Population
-from repro.core.cost import DEFAULT_COST
 from repro.core.framework import EvalConfig, EvalResult, sample_until
 from repro.core.srs import estimate_srs
 from repro.core.stats import Estimate, combine_stratified
@@ -87,10 +88,10 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Eva
     labels: list[int] = []
     clusters_seen: set[int] = set()
 
-    def draw() -> bool:
+    def draw() -> tuple[int, int] | None:
         want = min(cfg.batch_triples, M - len(drawn))
         if want <= 0:
-            return False
+            return None
         batch: list[int] = []
         while len(batch) < want:
             for g in rng.integers(0, M, size=2 * (want - len(batch))):
@@ -103,18 +104,16 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Eva
         idx = np.asarray(batch, dtype=np.int64)
         ci = np.searchsorted(cum, idx, side="right")
         labels.extend((idx - starts[ci] < pop.taus[ci]).astype(int).tolist())
+        n_seen = len(clusters_seen)
         clusters_seen.update(ci.tolist())
-        return True
+        return len(clusters_seen) - n_seen, want
 
-    est, n_batches, reason = sample_until(
+    return sample_until(
         cfg,
         cfg.min_triples,
         lambda: estimate_srs(np.asarray(labels, dtype=np.float64), alpha=cfg.alpha),
         draw,
     )
-    n = est.n_units
-    hours = DEFAULT_COST.cost_hours(len(clusters_seen), n)
-    return EvalResult(est, hours, n, n, n_batches, reason, len(clusters_seen))
 
 
 def _pps_draws(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,24 +133,20 @@ def _twcs_loop(
     W_h (>= 1 each), Eq 13 combination for the estimate and MoE."""
     alloc = np.maximum(1, np.rint(cfg.batch_clusters * w).astype(int))
     means: list[list[float]] = [[] for _ in strata]
-    n_triples = 0
 
-    def draw() -> bool:
-        nonlocal n_triples
+    def draw() -> tuple[int, int]:
+        n_triples = 0
         for j, sub in enumerate(strata):
             s, good = sub.second_stage(_pps_draws(sub, int(alloc[j]), rng), m, rng)
             means[j].extend((good / s).tolist())
             n_triples += int(s.sum())
-        return True
+        return int(alloc.sum()), n_triples
 
     def estimate() -> Estimate:
         per = [estimate_cluster_means(np.asarray(v), alpha=cfg.alpha) for v in means]
         return combine_stratified(w, per)
 
-    est, n_batches, reason = sample_until(cfg, cfg.min_draws, estimate, draw)
-    n_tasks = est.n_units
-    hours = DEFAULT_COST.cost_hours(n_tasks, n_triples)
-    return EvalResult(est, hours, n_tasks, n_triples, n_batches, reason, n_tasks)
+    return sample_until(cfg, cfg.min_draws, estimate, draw)
 
 
 def twcs_trial(
@@ -177,27 +172,21 @@ def rcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Eva
     """
     order = rng.permutation(pop.n_clusters)
     taus: list[float] = []
-    n_triples = 0
 
-    def draw() -> bool:
-        nonlocal n_triples
+    def draw() -> tuple[int, int] | None:
         pos = len(taus)
         take = min(max(cfg.batch_clusters, pos // 4), pop.n_clusters - pos)
         if take <= 0:
-            return False
+            return None
         s, good = pop.second_stage(order[pos : pos + take], None, rng)
         taus.extend(good.astype(float).tolist())
-        n_triples += int(s.sum())
-        return True
+        return take, int(s.sum())
 
     def estimate() -> Estimate:
         N, M = pop.n_clusters, pop.n_triples
         return estimate_rcs(np.asarray(taus), n_clusters=N, n_triples=M, alpha=cfg.alpha)
 
-    est, n_batches, reason = sample_until(cfg, cfg.min_draws, estimate, draw)
-    n_drawn = est.n_units
-    hours = DEFAULT_COST.cost_hours(n_drawn, n_triples)
-    return EvalResult(est, hours, n_drawn, n_triples, n_batches, reason, n_drawn)
+    return sample_until(cfg, cfg.min_draws, estimate, draw)
 
 
 def stratified_twcs_trial(

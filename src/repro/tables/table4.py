@@ -6,7 +6,7 @@ m=10 needed 24 entities / 178 triples (1.4 h, est 90%, MoE 4.97%).
 
 Here the same two evaluations run end-to-end through the Spark
 framework (Fig 2 loop over DataFrame samplers) on the synthetic MOVIE
-with the simulated annotator charging the paper's own fitted cost
+with the simulated annotator, charged the paper's own fitted cost
 function — a single run each, like the paper's single session — plus
 Monte-Carlo averages for context.
 """

@@ -1,4 +1,4 @@
-"""Tests for the Eq 4 cost model and ledger conventions (Sec 3.2)."""
+"""Tests for the Eq 4 cost model and the incremental evaluators' ledger (Sec 3.2)."""
 import pytest
 
 from repro.core.cost import DEFAULT_COST, CostLedger, CostParams
@@ -45,18 +45,3 @@ class TestCostLedgerTasks:
         with pytest.raises(ValueError):
             CostLedger().charge_task(-1)
 
-
-class TestCostLedgerSrs:
-    def test_dedupes_subjects_across_batches(self):
-        led = CostLedger()
-        led.charge_srs_batch([1, 2, 2, 3])
-        assert led.n_identifications == 3
-        assert led.n_validations == 4
-        led.charge_srs_batch([3, 4])  # 3 already identified
-        assert led.n_identifications == 4
-        assert led.n_validations == 6
-
-    def test_hours_conversion(self):
-        led = CostLedger()
-        led.charge_srs_batch(range(174))
-        assert led.hours == pytest.approx(3.38, abs=0.01)

@@ -1,7 +1,6 @@
 """Integration tests for the iterative static framework (Sec 4, Fig 2)."""
 import pytest
 
-from repro.annotate.annotator import SimulatedAnnotator
 from repro.core.framework import EvalConfig, evaluate_static, sample_until
 from repro.core.stats import Estimate
 from repro.kg.generator import nell_like, yago_like
@@ -18,52 +17,62 @@ def yago_df(spark):
 
 
 class FakeSample:
-    """``draw`` adds a batch of units; ``estimate`` reads MoE off a schedule."""
+    """``draw`` adds a batch of units, one entity per two triples, and
+    reports (entities, triples); ``estimate`` reads MoE off a schedule."""
 
     def __init__(self, moe_after, *, batch=10, population=10**9):
         self.moe_after, self.batch, self.population = moe_after, batch, population
-        self.n = 0
+        self.n = self.entities = self.triples = 0
 
     def estimate(self):
         return Estimate(0.9, (self.moe_after(self.n) / 1.959964) ** 2, self.n, 0.05)
 
     def draw(self):
         if self.n >= self.population:
-            return False
-        self.n = min(self.n + self.batch, self.population)
-        return True
+            return None
+        added = min(self.batch, self.population - self.n)
+        entities = (added + 1) // 2
+        self.n += added
+        self.entities += entities
+        self.triples += added
+        return entities, added
 
 
 class TestSampleUntil:
     CFG = EvalConfig(eps=0.05, max_units=100)
 
+    def run(self, f, min_units):
+        """The loop's result, checking that its cost is Eq 4 of the batch sums."""
+        res = sample_until(self.CFG, min_units, f.estimate, f.draw)
+        assert (res.n_entities, res.n_triples) == (f.entities, f.triples)
+        assert res.hours == pytest.approx((f.entities * 45 + f.triples * 25) / 3600)
+        return res.stop_reason, res.n_batches, res.n_draws
+
     def test_stops_on_moe(self):
         f = FakeSample(lambda n: 0.2 if n < 30 else 0.04)
-        est, n_batches, reason = sample_until(self.CFG, 20, f.estimate, f.draw)
-        assert (reason, n_batches, est.n_units) == ("moe", 3, 30)
+        assert self.run(f, 20) == ("moe", 3, 30)
+        assert (f.entities, f.triples) == (15, 30)
 
     def test_min_units_guard(self):
         """A small MoE does not stop the loop before min_units units."""
         f = FakeSample(lambda n: 0.0)
-        est, n_batches, reason = sample_until(self.CFG, 45, f.estimate, f.draw)
-        assert (reason, n_batches, est.n_units) == ("moe", 5, 50)
+        assert self.run(f, 45) == ("moe", 5, 50)
 
     def test_stops_at_max_units(self):
         f = FakeSample(lambda n: 0.2)
-        est, n_batches, reason = sample_until(self.CFG, 20, f.estimate, f.draw)
-        assert (reason, n_batches, est.n_units) == ("max_units", 10, 100)
+        assert self.run(f, 20) == ("max_units", 10, 100)
 
     def test_stops_when_population_exhausted(self):
         f = FakeSample(lambda n: 0.2, population=25)
-        est, n_batches, reason = sample_until(self.CFG, 20, f.estimate, f.draw)
-        assert (reason, n_batches, est.n_units) == ("exhausted", 3, 25)
+        assert self.run(f, 20) == ("exhausted", 3, 25)
+        assert (f.entities, f.triples) == (13, 25)  # batches of 10, 10 and 5
 
     def test_estimates_before_drawing(self):
-        """A sample that already meets the rule draws nothing."""
+        """A sample that already meets the rule draws, and charges, nothing."""
         f = FakeSample(lambda n: 0.0)
         f.n = 20
-        est, n_batches, reason = sample_until(self.CFG, 20, f.estimate, f.draw)
-        assert (reason, n_batches, est.n_units) == ("moe", 0, 20)
+        assert self.run(f, 20) == ("moe", 0, 20)
+        assert (f.entities, f.triples) == (0, 0)
 
 
 class TestStoppingRule:
@@ -97,9 +106,7 @@ class TestEstimates:
         assert abs(res.estimate.mu_hat - gold) <= res.estimate.moe + 0.05
 
     def test_cost_accounting_consistent(self, nell_df):
-        ann = SimulatedAnnotator()
-        res = evaluate_static(nell_df, design="twcs", m=3, seed=15, annotator=ann)
-        assert res.hours == pytest.approx(ann.hours)
+        res = evaluate_static(nell_df, design="twcs", m=3, seed=15)
         expect = (res.n_draws * 45 + res.n_triples * 25) / 3600
         assert res.hours == pytest.approx(expect)
 
@@ -139,11 +146,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             evaluate_static(nell_df, design="twcs")
 
+    @pytest.mark.parametrize(
+        "design,m", [("srs", None), ("rcs", None), ("wcs", None), ("twcs", 3)]
+    )
+    def test_empty_kg_rejected(self, nell_df, design, m):
+        with pytest.raises(ValueError, match="KG has no triples"):
+            evaluate_static(nell_df.limit(0), design=design, m=m)
+
 
 class TestCensusEdgeCase:
     @pytest.mark.parametrize("design", ["srs", "rcs"])
     def test_tiny_kg_census_terminates(self, spark, design):
-        """A KG smaller than one batch must end with a full census."""
+        """A tiny KG must end with a full census. SRS takes it in 3
+        batches of 2 triples and identifies each subject once across
+        them, so both designs charge Eq 4 for 3 entities and 6 triples."""
         from repro.kg.generator import SyntheticKG
         import numpy as np
 
@@ -155,9 +171,13 @@ class TestCensusEdgeCase:
             0,
         )
         df = kg.to_spark(spark)
-        res = evaluate_static(df, design=design, seed=17)
+        res = evaluate_static(df, design=design, seed=17, config=EvalConfig(batch_triples=2))
         assert res.stop_reason == "exhausted"
         assert res.n_triples == 6
+        assert res.n_entities == 3
+        assert res.hours == pytest.approx((3 * 45 + 6 * 25) / 3600)
+        if design == "srs":
+            assert res.n_batches == 3
         assert res.estimate.mu_hat == pytest.approx(4 / 6)
         if design == "rcs":
             assert res.n_draws == 3  # every cluster once
