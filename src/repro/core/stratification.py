@@ -10,9 +10,11 @@ Two strategies from the paper:
   the perfect-but-impractical reference whose cost lower-bounds what any
   stratification signal could achieve (Sec 7.2.3).
 
-Both run in the driver on the population's cluster arrays. Within each
-stratum ``mc.stratified_twcs_trial`` runs TWCS, and Eq 13 combines the
-per-stratum estimates with weights W_h = M[h] / M.
+Both run in the driver on the population's cluster arrays.
+``mc.run_trials`` splits the population by these labels once per call;
+within each stratum ``mc.stratified_twcs_trial`` runs TWCS, and Eq 13
+combines the per-stratum estimates with the weights W_h = M[h] / M that
+it computes from the strata.
 """
 from __future__ import annotations
 

@@ -156,12 +156,6 @@ def kgeval_evaluate(
                     inferred[u] = float(lab)
                     nxt.append(u)
             frontier = nxt
-        for v in members:  # members unreached by edges (rare) are inferred too
-            if inferred[v] < 0:
-                lab = labels_true[v]
-                if rng.random() > fidelity:
-                    lab = 1 - lab
-                inferred[v] = float(lab)
 
         # PSL-style fixed-point pass over the labelled region: computes
         # soft confidences for the hard labels above. This is the

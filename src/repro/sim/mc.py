@@ -17,7 +17,9 @@ aggregated once by Spark — so the repetition layer runs in numpy:
   M_i - tau_i, s) correct ones, or the whole cluster when m is None.
 
 WCS is TWCS without a cap (Sec 5.2), TWCS is stratified TWCS with one
-stratum (Eq 13, W_1 = 1), and ``_twcs_loop`` runs all three.
+stratum (Eq 13, W_1 = 1), and ``stratified_twcs_trial`` runs all three.
+It computes W_h = M[h] / M from the strata it is given; ``run_trials``
+splits a population into its strata once, before the trials.
 
 The cluster trials read only ``sizes``, ``n_clusters``, ``n_triples``
 and ``second_stage`` of their population, so a Spark KG is one more
@@ -121,16 +123,14 @@ def _pps_draws(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray:
     return cluster_sampling.weighted_cluster_draws(pop.sizes, k, rng)
 
 
-def _twcs_loop(
-    strata: list[Population],
-    w: np.ndarray,
-    m: int | None,
-    rng: np.random.Generator,
-    cfg: EvalConfig,
+def stratified_twcs_trial(
+    strata: list[Population], m: int | None, rng: np.random.Generator, cfg: EvalConfig
 ) -> EvalResult:
-    """Iterative stratified TWCS (Sec 5.3) over ``strata`` with triple
-    weights ``w``: per-batch draws allocated to strata proportionally to
-    W_h (>= 1 each), Eq 13 combination for the estimate and MoE."""
+    """Iterative stratified TWCS (Sec 5.3) over the populations ``strata``:
+    per-batch draws allocated to strata proportionally to W_h = M[h] / M
+    (>= 1 each), Eq 13 combination for the estimate and MoE."""
+    w = np.array([sub.n_triples for sub in strata], dtype=np.float64)
+    w /= w.sum()
     alloc = np.maximum(1, np.rint(cfg.batch_clusters * w).astype(int))
     means: list[list[float]] = [[] for _ in strata]
 
@@ -153,7 +153,7 @@ def twcs_trial(
     pop: Population, m: int | None, rng: np.random.Generator, cfg: EvalConfig
 ) -> EvalResult:
     """Iterative TWCS: stratified TWCS with one stratum (W_1 = 1)."""
-    return _twcs_loop([pop], np.ones(1), m, rng, cfg)
+    return stratified_twcs_trial([pop], m, rng, cfg)
 
 
 def wcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> EvalResult:
@@ -189,21 +189,6 @@ def rcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Eva
     return sample_until(cfg, cfg.min_draws, estimate, draw)
 
 
-def stratified_twcs_trial(
-    pop: Population,
-    strata: np.ndarray,
-    m: int,
-    rng: np.random.Generator,
-    cfg: EvalConfig,
-) -> EvalResult:
-    """Iterative stratified TWCS: ``pop`` split by its stratum labels."""
-    strata = np.asarray(strata)
-    masks = [strata == h for h in np.unique(strata)]
-    subpops = [Population(pop.subjects[k], pop.sizes[k], pop.taus[k]) for k in masks]
-    w = np.array([sub.n_triples for sub in subpops], dtype=np.float64)
-    return _twcs_loop(subpops, w / w.sum(), m, rng, cfg)
-
-
 _DESIGNS = {
     "srs": srs_trial,
     "rcs": rcs_trial,
@@ -221,21 +206,25 @@ def run_trials(
     m: int | None = None,
     strata: np.ndarray | None = None,
 ) -> TrialsSummary:
-    """Repeat a design ``n_trials`` times; summarise cost and estimate."""
-    trials: list[EvalResult] = []
-    for t in range(n_trials):
-        rng = np.random.default_rng(seed + 7919 * t)
-        if design == "twcs":
-            if m is None:
-                raise ValueError("twcs requires m")
-            tr = twcs_trial(pop, m, rng, cfg)
-        elif design == "twcs_stratified":
-            if m is None or strata is None:
-                raise ValueError("twcs_stratified requires m and strata")
-            tr = stratified_twcs_trial(pop, strata, m, rng, cfg)
-        elif design in _DESIGNS:
-            tr = _DESIGNS[design](pop, rng, cfg)
-        else:
-            raise ValueError(f"unknown design {design!r}")
-        trials.append(tr)
+    """Repeat a design ``n_trials`` times; summarise cost and estimate.
+
+    ``"twcs_stratified"`` splits ``pop`` by its ``strata`` labels once,
+    and every trial draws from the same sub-populations.
+    """
+    if design in ("twcs", "twcs_stratified") and (m is None or m < 1):
+        raise ValueError(f"{design} requires m >= 1, got {m!r}")
+    if design == "twcs":
+        trial = lambda rng: twcs_trial(pop, m, rng, cfg)
+    elif design == "twcs_stratified":
+        if strata is None:
+            raise ValueError("twcs_stratified requires strata")
+        labels = np.asarray(strata)
+        masks = [labels == h for h in np.unique(labels)]
+        subs = [Population(pop.subjects[k], pop.sizes[k], pop.taus[k]) for k in masks]
+        trial = lambda rng: stratified_twcs_trial(subs, m, rng, cfg)
+    elif design in _DESIGNS:
+        trial = lambda rng: _DESIGNS[design](pop, rng, cfg)
+    else:
+        raise ValueError(f"unknown design {design!r}")
+    trials = [trial(np.random.default_rng(seed + 7919 * t)) for t in range(n_trials)]
     return TrialsSummary.from_trials(design, trials)

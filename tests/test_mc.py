@@ -155,6 +155,13 @@ class TestDesignOrdering:
         with pytest.raises(ValueError):
             mc.run_trials(nell_pop, "bogus", n_trials=1, seed=1)
 
+    @pytest.mark.parametrize("design", ["twcs", "twcs_stratified"])
+    def test_run_trials_rejects_m_below_one(self, nell_pop, design):
+        """A zero second-stage size annotates nothing per draw (s = 0)."""
+        strata = np.zeros(nell_pop.n_clusters, dtype=int)
+        with pytest.raises(ValueError, match="m >= 1"):
+            mc.run_trials(nell_pop, design, m=0, strata=strata, n_trials=1, seed=1)
+
 
 class TestSummary:
     def test_from_trials_statistics(self):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.cluster_stats import Population, cluster_stats_df
+from repro.core.cluster_stats import Population
 from repro.core.framework import EvalConfig
 from repro.evolving.reservoir import ReservoirEvaluator
 from repro.kg.generator import movie_like
@@ -22,19 +22,16 @@ def delta_pop():
 
 
 class TestSparkReservoir:
-    def test_weighted_inclusion_favours_large_clusters(self, spark):
-        """P(cluster in reservoir) increases with M_i under A-Res keys."""
-        cl = cluster_stats_df(movie_like(sf=0.005, seed=33).to_spark(spark)).toPandas()
-        rng = np.random.default_rng(0)
-        n = 50
-        hits = np.zeros(len(cl))
-        sizes = cl["size"].to_numpy()
-        for _ in range(300):
-            keys = rng.random(len(cl)) ** (1.0 / sizes)
-            top = np.argpartition(-keys, n)[:n]
-            hits[top] += 1
-        big = sizes >= np.percentile(sizes, 90)
-        small = sizes <= np.percentile(sizes, 50)
+    def test_weighted_inclusion_favours_large_clusters(self):
+        """P(cluster in reservoir) increases with M_i under RS's A-Res keys."""
+        pop = Population.from_synthetic(movie_like(sf=0.005, seed=33))
+        hits = np.zeros(pop.n_clusters)
+        for seed in range(300):
+            ev = ReservoirEvaluator(m=5)
+            ev.initialise(pop, np.random.default_rng(seed))
+            hits[[mb.i for _, _, mb in ev.members]] += 1
+        big = pop.sizes >= np.percentile(pop.sizes, 90)
+        small = pop.sizes <= np.percentile(pop.sizes, 50)
         assert hits[big].mean() > 3 * hits[small].mean()
 
 

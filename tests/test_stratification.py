@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.cluster_stats import Population
-from repro.core.framework import EvalConfig
 from repro.core.stratification import (
     np_assign_stratum_by_size,
     np_assign_stratum_oracle,
@@ -58,22 +57,36 @@ class TestAssignment:
 
 class TestStrataWeights:
     def test_weights_sum_to_one_and_match_counts(self, monkeypatch, movie_small):
-        """stratified_twcs_trial splits the population by stratum and
-        weighs stratum h by W_h = M[h] / M (Eq 13)."""
-        seen = {}
+        """run_trials splits the population by stratum once, and every
+        trial weighs stratum h by W_h = M[h] / M (Eq 13)."""
+        strata_seen, weights_seen = [], []
+        trial, combine = mc.stratified_twcs_trial, mc.combine_stratified
 
-        def capture(strata, w, m, rng, cfg):
-            seen.update(strata=strata, w=w)
+        def capture_trial(strata, m, rng, cfg):
+            strata_seen.append(strata)
+            return trial(strata, m, rng, cfg)
 
-        monkeypatch.setattr(mc, "_twcs_loop", capture)
+        def capture_combine(weights, per_stratum):
+            weights_seen.append(weights)
+            return combine(weights, per_stratum)
+
+        monkeypatch.setattr(mc, "stratified_twcs_trial", capture_trial)
+        monkeypatch.setattr(mc, "combine_stratified", capture_combine)
         pop = Population.from_synthetic(movie_small)
         s = np_assign_stratum_by_size(pop.sizes, np_cum_sqrt_f_boundaries(pop.sizes, 3))
-        mc.stratified_twcs_trial(pop, s, 5, np.random.default_rng(0), EvalConfig())
-        subs, w = seen["strata"], seen["w"]
-        assert w.sum() == pytest.approx(1.0)
-        assert sum(sub.n_triples for sub in subs) == movie_small.n_triples
-        assert sum(sub.n_clusters for sub in subs) == movie_small.n_entities
-        assert w == pytest.approx([sub.n_triples / movie_small.n_triples for sub in subs])
+        mc.run_trials(pop, "twcs_stratified", m=5, strata=s, n_trials=3, seed=0)
+
+        assert len(strata_seen) == 3
+        subs = strata_seen[0]
+        assert all(seen is subs for seen in strata_seen)
+        assert sum(sub.n_triples for sub in subs) == pop.n_triples
+        assert sum(sub.n_clusters for sub in subs) == pop.n_clusters
+        label = dict(zip(pop.subjects.tolist(), s.tolist()))
+        assert all(len({label[x] for x in sub.subjects.tolist()}) == 1 for sub in subs)
+        assert weights_seen
+        for w in weights_seen:
+            assert w.sum() == pytest.approx(1.0)
+            assert w == pytest.approx([sub.n_triples / pop.n_triples for sub in subs])
 
 
 class TestVarianceReduction:
