@@ -29,15 +29,14 @@ from pyspark.sql import functions as F
 from repro.core.stats import Estimate, cluster_var_hat
 
 
-def weighted_cluster_draws(sizes: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k PPS-with-replacement cluster indices into ``sizes``.
+def weighted_cluster_draws(cum: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k PPS-with-replacement cluster indices into the sizes whose cumsum is ``cum``.
 
     Hansen-Hurwitz design: each draw independently selects cluster i
     with probability M_i / M.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    cum = np.cumsum(sizes)
     u = rng.random(k) * cum[-1]
     return np.searchsorted(cum, u, side="right")
 

@@ -45,6 +45,10 @@ class Population:
     def n_triples(self) -> int:
         return int(self.sizes.sum())
 
+    @cached_property  # read by every PPS draw and SRS trial
+    def cum_sizes(self) -> np.ndarray:
+        return np.cumsum(self.sizes)
+
     @property
     def mu(self) -> float:
         return float(self.taus.sum() / self.sizes.sum())

@@ -59,6 +59,10 @@ class EvalConfig:
     min_draws: int = 20  # cluster draws before the Normal MoE is trusted
     max_units: int = 100_000  # hard safety stop
 
+    def __post_init__(self):
+        if self.batch_triples < 1 or self.batch_clusters < 1:
+            raise ValueError("batch_triples and batch_clusters must be >= 1")
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -190,6 +194,7 @@ class _SparkClusters:
         self.kg, self.ann = kg, SimulatedAnnotator()
         self.subjects = stats["subject"].to_numpy(np.int64)
         self.sizes = stats["size"].to_numpy(np.int64)
+        self.cum_sizes = np.cumsum(self.sizes)
         self.n_clusters, self.n_triples = len(self.sizes), int(self.sizes.sum())
         if self.n_triples == 0:
             raise ValueError("KG has no triples")

@@ -6,7 +6,8 @@ reservoir holds the |R| clusters with the largest keys. Maintaining the
 top-|R| under a batch of insertions Delta is exactly Algorithm 1's
 smallest-key replacement loop: because top-n is associative,
 ``top-n(G + Delta) = top-n(top-n(G) ∪ keys(Delta))``, so an update only
-compares Delta's keys against the reservoir.
+compares Delta's keys against the reservoir. The clusters outside it are
+those keyed below its smallest key, so the top-up pool is read off the keys.
 
 The evaluator follows the paper: the reservoir is *used as* the TWCS
 first-stage sample (per-cluster second-stage SRS of <= m triples,
@@ -39,10 +40,8 @@ from repro.core.stats import Estimate
 
 @dataclass
 class _Member:
-    """An annotated reservoir cluster: (key, cluster ``i`` of ``pop``, sample mean)."""
+    """An annotated reservoir cluster: cluster ``i`` of ``pop`` and its sample mean."""
 
-    key: float
-    pop: Population
     i: int
     mean: float
     s: int  # triples annotated in the second stage
@@ -52,29 +51,32 @@ class _Member:
 class ReservoirEvaluator:
     """RS over a sequence of update batches (Sec 6.1).
 
-    ``members`` is a min-heap on the A-Res key (Algorithm 1 evicts the
-    smallest key). ``spare`` keeps every non-member cluster of the
-    current KG state as (key, population, index), keys descending — the
-    top-up pool used when an update pushes the MoE back above eps.
+    ``pop`` is every cluster seen (the base KG, then each Delta) and
+    ``keys`` their A-Res keys. ``members`` is a min-heap of (key, index
+    into ``pop``, member): Algorithm 1 evicts the smallest key.
     """
 
     m: int
     cfg: EvalConfig = field(default_factory=EvalConfig)
+    pop: Population | None = None
+    keys: np.ndarray = field(default_factory=lambda: np.empty(0))
     members: list[tuple[float, int, _Member]] = field(default_factory=list)
-    spare: list[tuple[float, Population, int]] = field(default_factory=list)
     ledger: CostLedger = field(default_factory=CostLedger)
     n_insertions: int = 0  # reservoir entries after the initial fill (Prop 3)
     stop_reason: str | None = None  # the last top-up loop's (see sample_until)
-    _counter: int = 0
 
-    def _annotate(self, key: float, pop: Population, i: int, rng) -> _Member:
-        s, good = pop.second_stage(i, self.m, rng)
+    @property
+    def spare(self) -> np.ndarray:
+        """Indices into ``pop`` keyed below every member (all before the reservoir fills)."""
+        if not self.members:
+            return np.arange(self.keys.size)
+        return np.flatnonzero(self.keys < self.members[0][0])
+
+    def _enter(self, i: int, rng) -> int:
+        s, good = self.pop.second_stage(i, self.m, rng)
         self.ledger.charge_task(int(s))
-        return _Member(key, pop, i, float(good / s), int(s))
-
-    def _push(self, mb: _Member) -> None:
-        self._counter += 1
-        heapq.heappush(self.members, (mb.key, self._counter, mb))
+        heapq.heappush(self.members, (self.keys[i], i, _Member(i, float(good / s), int(s))))
+        return int(s)
 
     def estimate(self) -> Estimate:
         means = np.array([mb.mean for _, _, mb in self.members])
@@ -84,14 +86,13 @@ class ReservoirEvaluator:
         """The static loop over the spare pool, largest keys first."""
 
         def draw() -> tuple[int, int] | None:
-            if not self.spare:
+            spare = self.spare
+            if not spare.size:
                 return None
-            take = min(self.cfg.batch_clusters, len(self.spare))
-            added = [self._annotate(key, pop, i, rng) for key, pop, i in self.spare[:take]]
-            for mb in added:
-                self._push(mb)
-            del self.spare[:take]
-            return take, sum(mb.s for mb in added)
+            take = min(self.cfg.batch_clusters, spare.size)
+            top = spare[np.argpartition(-self.keys[spare], take - 1)[:take]]
+            top = top[np.argsort(-self.keys[top])]
+            return take, sum(self._enter(int(i), rng) for i in top)
 
         res = sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)
         self.stop_reason = res.stop_reason
@@ -99,29 +100,24 @@ class ReservoirEvaluator:
 
     def initialise(self, pop: Population, rng: np.random.Generator) -> Estimate:
         """Static phase on the base KG: grow the reservoir until MoE <= eps."""
-        keys = rng.random(pop.n_clusters) ** (1.0 / pop.sizes)
-        order = np.argsort(-keys)
-        self.spare = [(float(keys[i]), pop, int(i)) for i in order]
+        self.pop = pop
+        self.keys = rng.random(pop.n_clusters) ** (1.0 / pop.sizes)
         return self._top_up_until_converged(rng)
 
     def apply_update(self, delta: Population, rng: np.random.Generator) -> Estimate:
         """Algorithm 1 over Delta's clusters, then top-up if MoE > eps."""
         if not self.members:
             raise RuntimeError("initialise() must run before apply_update()")
-        keys = rng.random(delta.n_clusters) ** (1.0 / delta.sizes)
-        size_before = len(self.members)
-        new_spare: list[tuple[float, Population, int]] = []
-        for i in range(delta.n_clusters):
-            k_e = float(keys[i])
-            if k_e > self.members[0][0]:  # beats the smallest reservoir key
-                _, _, evicted = heapq.heappop(self.members)
-                new_spare.append((evicted.key, evicted.pop, evicted.i))
-                self._push(self._annotate(k_e, delta, i, rng))
+        delta_keys = rng.random(delta.n_clusters) ** (1.0 / delta.sizes)
+        n0, size_before = self.pop.n_clusters, len(self.members)
+        self.pop = Population.concat([self.pop, delta])
+        self.keys = np.concatenate([self.keys, delta_keys])
+        # The smallest key only rises, so no cluster outside this set can enter.
+        for j in np.flatnonzero(delta_keys > self.members[0][0]):
+            if delta_keys[j] > self.members[0][0]:  # beats the smallest reservoir key
+                heapq.heappop(self.members)
+                self._enter(n0 + int(j), rng)
                 self.n_insertions += 1
-            else:
-                new_spare.append((k_e, delta, i))
-        self.spare.extend(new_spare)
-        self.spare.sort(key=lambda t: -t[0])
         assert len(self.members) == size_before, "reservoir size is invariant"
         return self._top_up_until_converged(rng)
 

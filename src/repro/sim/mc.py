@@ -21,15 +21,15 @@ stratum (Eq 13, W_1 = 1), and ``stratified_twcs_trial`` runs all three.
 It computes W_h = M[h] / M from the strata it is given; ``run_trials``
 splits a population into its strata once, before the trials.
 
-The cluster trials read only ``sizes``, ``n_clusters``, ``n_triples``
-and ``second_stage`` of their population, so a Spark KG is one more
-population: ``core.framework.evaluate_static`` runs RCS/WCS/TWCS by
-calling ``rcs_trial``/``twcs_trial`` on one whose second stage fetches
-and annotates the drawn triples. Every trial supplies only its draw
-step, which reports the batch's entities identified and triples
-annotated, and its estimator; the Fig 2 loop and stopping rule
-``core.framework.sample_until`` charges Eq 4 on their sums and returns
-the trial's ``EvalResult``.
+The cluster trials read only ``sizes``, ``cum_sizes``, ``n_clusters``,
+``n_triples`` and ``second_stage`` of their population, so a Spark KG
+is one more population: ``core.framework.evaluate_static`` runs
+RCS/WCS/TWCS by calling ``rcs_trial``/``twcs_trial`` on one whose
+second stage fetches and annotates the drawn triples. Every trial
+supplies only its draw step, which reports the batch's entities
+identified and triples annotated, and its estimator; the Fig 2 loop and
+stopping rule ``core.framework.sample_until`` charges Eq 4 on their
+sums and returns the trial's ``EvalResult``.
 """
 from __future__ import annotations
 
@@ -83,8 +83,7 @@ class TrialsSummary:
 
 def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> EvalResult:
     """Iterative SRS: batches of cfg.batch_triples without replacement."""
-    cum = np.cumsum(pop.sizes)
-    M = int(cum[-1])
+    M, cum = pop.n_triples, pop.cum_sizes
     starts = cum - pop.sizes
     drawn: set[int] = set()
     labels: list[int] = []
@@ -120,7 +119,7 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Eva
 
 def _pps_draws(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray:
     """k PPS-with-replacement cluster indices (prob M_i / M)."""
-    return cluster_sampling.weighted_cluster_draws(pop.sizes, k, rng)
+    return cluster_sampling.weighted_cluster_draws(pop.cum_sizes, k, rng)
 
 
 def stratified_twcs_trial(
@@ -213,6 +212,8 @@ def run_trials(
     """
     if design in ("twcs", "twcs_stratified") and (m is None or m < 1):
         raise ValueError(f"{design} requires m >= 1, got {m!r}")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if design == "twcs":
         trial = lambda rng: twcs_trial(pop, m, rng, cfg)
     elif design == "twcs_stratified":

@@ -58,21 +58,13 @@ def single_batch_rows(
                     subject_offset=10_000_000,
                 )
             )
-            rng = np.random.default_rng(seed + k)
-            rs = ReservoirEvaluator(m=m)
-            rs.initialise(base, rng)
-            h0 = rs.hours
-            e = rs.apply_update(delta, rng)
-            h["RS"].append(rs.hours - h0)
-            mu["RS"].append(e.mu_hat)
-
-            rng = np.random.default_rng(seed + k)
-            ss = StratifiedIncrementalEvaluator(m=m)
-            ss.initialise(base, rng)
-            h0 = ss.hours
-            e = ss.apply_update(delta, rng)
-            h["SS"].append(ss.hours - h0)
-            mu["SS"].append(e.mu_hat)
+            for name, cls in (("RS", ReservoirEvaluator), ("SS", StratifiedIncrementalEvaluator)):
+                ev, rng = cls(m=m), np.random.default_rng(seed + k)
+                ev.initialise(base, rng)
+                h0 = ev.hours
+                e = ev.apply_update(delta, rng)
+                h[name].append(ev.hours - h0)
+                mu[name].append(e.mu_hat)
 
             # Baseline (Sec 7.1.4): discard all annotations, static TWCS on G + Delta.
             rng = np.random.default_rng(seed + k)

@@ -27,7 +27,7 @@ def pop(nell):
 
 def pps_subjects(pop, n, *, seed):
     """Subjects of n PPS draws."""
-    return pop.subjects[cs.weighted_cluster_draws(pop.sizes, n, np.random.default_rng(seed))]
+    return pop.subjects[cs.weighted_cluster_draws(pop.cum_sizes, n, np.random.default_rng(seed))]
 
 
 def sample(nell_df, subjects, m, *, seed):
@@ -55,12 +55,12 @@ class TestWeightedDraws:
 
     def test_rejects_nonpositive_n(self, pop):
         with pytest.raises(ValueError):
-            cs.weighted_cluster_draws(pop.sizes, 0, np.random.default_rng(1))
+            cs.weighted_cluster_draws(pop.cum_sizes, 0, np.random.default_rng(1))
 
     def test_same_kernel_as_mc(self, pop):
         """The Spark evaluation and the MC layer draw the same clusters."""
         a = mc._pps_draws(pop, 500, np.random.default_rng(3))
-        b = cs.weighted_cluster_draws(pop.sizes, 500, np.random.default_rng(3))
+        b = cs.weighted_cluster_draws(pop.cum_sizes, 500, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
 

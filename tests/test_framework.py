@@ -153,6 +153,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="KG has no triples"):
             evaluate_static(nell_df.limit(0), design=design, m=m)
 
+    @pytest.mark.parametrize("field", ["batch_triples", "batch_clusters"])
+    def test_batch_size_below_one_rejected(self, field):
+        """A batch of 0 draws nothing: RS's top-up would loop forever and
+        the MC trials would stop "exhausted" after no draw."""
+        with pytest.raises(ValueError, match=">= 1"):
+            EvalConfig(**{field: 0})
+
 
 class TestCensusEdgeCase:
     @pytest.mark.parametrize("design", ["srs", "rcs"])

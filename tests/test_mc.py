@@ -162,6 +162,11 @@ class TestDesignOrdering:
         with pytest.raises(ValueError, match="m >= 1"):
             mc.run_trials(nell_pop, design, m=0, strata=strata, n_trials=1, seed=1)
 
+    def test_run_trials_rejects_no_trials(self, nell_pop):
+        """No trials leave nothing to summarise (np.percentile of nothing)."""
+        with pytest.raises(ValueError, match="n_trials"):
+            mc.run_trials(nell_pop, "srs", n_trials=0, seed=1)
+
 
 class TestSummary:
     def test_from_trials_statistics(self):

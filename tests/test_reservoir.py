@@ -60,6 +60,23 @@ class TestReservoirEvaluator:
         assert ev.stop_reason == "exhausted"
         assert est.n_units == 3
 
+    def test_incremental_a_res_equals_one_shot(self, base_pop, delta_pop):
+        """DESIGN.md §6: after updates the reservoir holds the largest keys of
+        G + Delta, exactly as one A-Res pass over it would, and the spare
+        pool is every other cluster, all keyed below the reservoir."""
+        ev, rng = ReservoirEvaluator(m=5), np.random.default_rng(8)
+        ev.initialise(base_pop, rng)
+        for _ in range(2):
+            ev.apply_update(delta_pop, rng)
+        member_i = np.array(sorted(mb.i for _, _, mb in ev.members))
+        one_shot = np.sort(np.argsort(-ev.keys)[: len(ev.members)])
+        np.testing.assert_array_equal(member_i, one_shot)
+        assert ev.pop.n_clusters == base_pop.n_clusters + 2 * delta_pop.n_clusters
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([member_i, ev.spare])), np.arange(ev.pop.n_clusters)
+        )
+        assert ev.keys[ev.spare].max() < min(key for key, _, _ in ev.members)
+
     def test_update_before_initialise_rejected(self, delta_pop):
         ev = ReservoirEvaluator(m=5)
         with pytest.raises(RuntimeError):
