@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster_stats import Population
+from repro.core.framework import evaluate_static
 from repro.core.stratification import np_assign_stratum_by_size, np_cum_sqrt_f_boundaries
 from repro.evolving.reservoir import ReservoirEvaluator
 from repro.evolving.stratified_inc import StratifiedIncrementalEvaluator
@@ -32,6 +33,15 @@ def nell_pop():
     return Population.from_synthetic(nell_like())
 
 
+# Spark TWCS evaluate_static on nell_like(). Its draws depend on the KG's
+# content only, not on its partitioning, so the values are exact.
+SPARK_TWCS = {
+    (1, 3): dict(mu_hat=0.9145833333333332, n_draws=80, n_triples=198, n_batches=4,
+                 n_entities=80, hours=2.375),
+    (42, 10): dict(mu_hat=0.8979166666666666, n_draws=80, n_triples=227, n_batches=4),
+}
+
+
 @pytest.fixture(scope="module")
 def base_and_delta():
     base = Population.from_synthetic(movie_like(sf=0.02, seed=21))
@@ -52,6 +62,17 @@ def test_mc_trials(nell_pop, design):
         )
     s = mc.run_trials(nell_pop, design, n_trials=3, seed=42, **kw)
     assert dataclasses.astuple(s) == MC[design]
+
+
+@pytest.fixture(scope="module")
+def nell_df(spark):
+    return nell_like().to_spark(spark).cache()
+
+
+@pytest.mark.parametrize("seed,m", list(SPARK_TWCS))
+def test_spark_twcs(nell_df, seed, m):
+    r = evaluate_static(nell_df, design="twcs", m=m, seed=seed)
+    assert {k: getattr(r, k) for k in SPARK_TWCS[seed, m]} == SPARK_TWCS[seed, m]
 
 
 def test_reservoir(base_and_delta):

@@ -1,7 +1,11 @@
 """Integration tests for the iterative static framework (Sec 4, Fig 2)."""
+import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
+from repro.core import framework
 from repro.core.framework import EvalConfig, evaluate_static, sample_until
+from repro.core.srs import srs_sample
 from repro.core.stats import Estimate
 from repro.kg.generator import nell_like, yago_like
 
@@ -113,6 +117,77 @@ class TestEstimates:
     def test_srs_entities_at_most_triples(self, nell_df):
         res = evaluate_static(nell_df, design="srs", seed=16)
         assert res.n_entities <= res.n_triples
+
+
+class TestClusterIndexMemo:
+    """The cluster index is built once per cached KG DataFrame, and is
+    rebuilt for an uncached or unpersisted one."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = framework.cluster_stats_df
+
+        def counting(kg):
+            calls.append(kg)
+            return build(kg)
+
+        framework._cached_clusters.cache_clear()
+        monkeypatch.setattr(framework, "cluster_stats_df", counting)
+        yield calls
+        framework._cached_clusters.cache_clear()
+
+    def test_cached_frame_builds_once(self, nell_df, builds):
+        for design, m in [("twcs", 3), ("wcs", None), ("rcs", None)]:
+            evaluate_static(nell_df, design=design, m=m, seed=19)
+        assert len(builds) == 1
+
+    def test_uncached_frame_builds_every_time(self, nell_df, builds):
+        df = nell_df.select("*")
+        for _ in range(2):
+            evaluate_static(df, design="twcs", m=3, seed=19)
+        assert len(builds) == 2
+
+    def test_unpersisted_frame_rebuilt(self, nell_df, builds):
+        df = nell_df.select("*").cache()
+        try:
+            for _ in range(2):
+                evaluate_static(df, design="twcs", m=3, seed=19)
+            assert len(builds) == 1
+        finally:
+            df.unpersist()
+        evaluate_static(df, design="twcs", m=3, seed=19)
+        assert len(builds) == 2
+
+    def test_memoised_result_equals_fresh(self, nell_df, builds):
+        first, again = (evaluate_static(nell_df, design="twcs", m=3, seed=20) for _ in range(2))
+        fresh = evaluate_static(nell_df.select("*"), design="twcs", m=3, seed=20)
+        assert len(builds) == 2
+        assert first == again == fresh
+
+    def test_stale_index_raises(self, nell_df):
+        """A drawn cluster that the KG no longer holds is an error, not a
+        draw that silently drops out of the per-draw arrays."""
+        pop = framework._SparkClusters(nell_df)
+        pop.kg = nell_df.filter(F.col("subject") != int(pop.subjects[0]))
+        with pytest.raises(ValueError, match="no longer matches its cluster index"):
+            pop.second_stage(np.array([0]), 3, np.random.default_rng(0))
+
+
+class TestSrsWithoutCount:
+    def test_srs_runs_no_count(self, nell_df, monkeypatch):
+        """SRS never counts the KG, also when its prefix has to grow, and
+        its sample is the first n_draws rows of the rand(seed) ordering."""
+        counts = []
+        count = type(nell_df).count
+        monkeypatch.setattr(type(nell_df), "count", lambda df: counts.append(df) or count(df))
+        r = evaluate_static(nell_df, design="srs", seed=21, config=EvalConfig(eps=0.02))
+        assert counts == []
+        assert r.n_draws > 16 * EvalConfig().batch_triples  # the prefix grew
+        monkeypatch.undo()
+        pdf = srs_sample(nell_df, r.n_draws, seed=21).toPandas()
+        assert r.mu_hat == pytest.approx(pdf["label"].mean(), rel=1e-12)
+        assert r.n_entities == pdf["subject"].nunique()
 
 
 class TestDeterminism:
