@@ -203,9 +203,13 @@ class TestDeterminism:
         key = "spark.sql.shuffle.partitions"
         old = spark.conf.get(key)
         try:
+            # Build the cluster index under each setting: a kept one would
+            # make both runs read the same index.
             spark.conf.set(key, "8")
+            framework._cached_clusters.cache_clear()
             few = run(nell_df)
             spark.conf.set(key, "64")
+            framework._cached_clusters.cache_clear()
             many = run(nell_df)
         finally:
             spark.conf.set(key, old)
