@@ -65,8 +65,12 @@ class EvalConfig:
     max_units: int = 100_000  # hard safety stop
 
     def __post_init__(self):
-        if self.batch_triples < 1 or self.batch_clusters < 1:
-            raise ValueError("batch_triples and batch_clusters must be >= 1")
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if min(self.batch_triples, self.batch_clusters, self.max_units) < 1:
+            raise ValueError("batch_triples, batch_clusters and max_units must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -64,11 +64,10 @@ def optimal_m(
     alpha: float,
     eps: float,
     cost: CostParams = CostParams(),
-    m_max: int = 30,
 ) -> int:
-    """Linear search for argmin_m of Eq 12 over m in 1..m_max."""
+    """Linear search for argmin_m of Eq 12 over m in 1..30."""
     costs = [
         expected_cost_seconds(sizes, mus, m, alpha=alpha, eps=eps, cost=cost)
-        for m in range(1, m_max + 1)
+        for m in range(1, 31)
     ]
     return int(np.argmin(costs)) + 1

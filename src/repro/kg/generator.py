@@ -191,16 +191,15 @@ _MOVIE_ENTITIES = 288_770
 _MOVIE_FULL_ENTITIES = 14_495_142
 
 
-def movie_like(*, sf: float = 1.0, r_err: float = 0.1, seed: int = 13) -> SyntheticKG:
+def movie_like(*, sf: float = 1.0, seed: int = 13) -> SyntheticKG:
     """MOVIE at scale factor sf (sf=1 -> 288,770 entities, ~2.65M triples).
 
-    Labels: REM with error rate ``r_err`` (default 10% -> gold acc 90%,
-    matching the paper's use of REM r=0.1 wherever MOVIE needs synthetic
-    labels)."""
+    Labels: REM with error rate 0.1 (gold acc 90%), the paper's REM r=0.1
+    wherever MOVIE needs synthetic labels."""
     rng = np.random.default_rng(seed)
     n = max(10, int(round(_MOVIE_ENTITIES * sf)))
     sizes = _lognormal_sizes(n, 9.2, sigma=1.4, rng=rng)
-    probs = L.rem_probs(sizes, r_err=r_err)
+    probs = L.rem_probs(sizes, r_err=0.1)
     taus = L.draw_cluster_taus(sizes, probs, rng=rng)
     return SyntheticKG(f"MOVIE(sf={sf:g})", sizes, taus, probs, seed)
 
@@ -217,12 +216,12 @@ def movie_syn(
     return SyntheticKG(f"MOVIE-SYN(sf={sf:g},c={c:g},sigma={sigma:g})", sizes, taus, probs, seed)
 
 
-def movie_full_like(*, sf: float = 0.1, r_err: float = 0.1, seed: int = 19) -> SyntheticKG:
+def movie_full_like(*, sf: float = 0.1, seed: int = 19) -> SyntheticKG:
     """MOVIE-FULL at scale factor sf (sf=1 would be 14.5M entities / 130M
     triples; the Table 3 bench uses sf=0.1 — see DESIGN.md substitutions)."""
     rng = np.random.default_rng(seed)
     n = max(10, int(round(_MOVIE_FULL_ENTITIES * sf)))
     sizes = _lognormal_sizes(n, 9.0, sigma=1.4, rng=rng)
-    probs = L.rem_probs(sizes, r_err=r_err)
+    probs = L.rem_probs(sizes, r_err=0.1)
     taus = L.draw_cluster_taus(sizes, probs, rng=rng)
     return SyntheticKG(f"MOVIE-FULL(sf={sf:g})", sizes, taus, probs, seed)

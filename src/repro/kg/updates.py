@@ -24,21 +24,20 @@ def update_batch(
     accuracy: float,
     seed: int,
     subject_offset: int,
-    avg_cluster_size: float = 9.0,
     name: str | None = None,
 ) -> SyntheticKG:
     """Draw an insertion batch Delta with ~``n_triples`` triples.
 
-    Cluster sizes follow the MOVIE-FULL lognormal profile; the number of
-    clusters is chosen so the expected triple total matches, then sizes
-    are drawn and the realised total is within sampling noise of the
-    request. Labels are REM at the requested accuracy.
+    Cluster sizes follow the MOVIE-FULL lognormal profile (mean 9.0);
+    the number of clusters is chosen so the expected triple total
+    matches, then sizes are drawn and the realised total is within
+    sampling noise of the request. Labels are REM at the requested accuracy.
     """
     if n_triples < 1:
         raise ValueError("n_triples must be >= 1")
     rng = np.random.default_rng(seed)
-    n_clusters = max(1, int(round(n_triples / avg_cluster_size)))
-    sizes = _lognormal_sizes(n_clusters, avg_cluster_size, sigma=1.4, rng=rng)
+    n_clusters = max(1, int(round(n_triples / 9.0)))
+    sizes = _lognormal_sizes(n_clusters, 9.0, sigma=1.4, rng=rng)
     probs = L.rem_probs(sizes, r_err=1.0 - accuracy)
     taus = L.draw_cluster_taus(sizes, probs, rng=rng)
     return SyntheticKG(

@@ -24,6 +24,18 @@ class TestClusterStatsDf:
             kg=pdf,
         )
 
+    def test_oracle_detects_wrong_result(self, spark, nell_kg):
+        """The oracle check has teeth: an off-by-one size is caught."""
+        pdf = nell_kg.to_pandas()
+        got = cluster_stats_df(spark.createDataFrame(pdf))
+        wrong = got.withColumn("size", got["size"] + 1)
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                wrong,
+                "SELECT subject, COUNT(*) AS size FROM kg GROUP BY subject",
+                kg=pdf,
+            )
+
     def test_matches_generator_arrays(self, spark, nell_kg):
         got = cluster_stats_df(nell_kg.to_spark(spark)).toPandas().sort_values("subject")
         assert (got["subject"].to_numpy() == nell_kg.subjects()).all()

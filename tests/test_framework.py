@@ -232,12 +232,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="KG has no triples"):
             evaluate_static(nell_df.limit(0), design=design, m=m)
 
-    @pytest.mark.parametrize("field", ["batch_triples", "batch_clusters"])
+    @pytest.mark.parametrize("field", ["batch_triples", "batch_clusters", "max_units"])
     def test_batch_size_below_one_rejected(self, field):
         """A batch of 0 draws nothing: RS's top-up would loop forever and
-        the MC trials would stop "exhausted" after no draw."""
+        the MC trials would stop "exhausted" after no draw. A max_units
+        of 0 stops before the first draw."""
         with pytest.raises(ValueError, match=">= 1"):
             EvalConfig(**{field: 0})
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        """No z critical value exists, and the loop would learn it only at
+        the first MoE, after a batch was annotated."""
+        with pytest.raises(ValueError, match="alpha"):
+            EvalConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.05])
+    def test_eps_not_positive_rejected(self, eps):
+        """A MoE of at most 0 is never reached in general: the loop would
+        run to max_units."""
+        with pytest.raises(ValueError, match="eps"):
+            EvalConfig(eps=eps)
 
 
 class TestCensusEdgeCase:

@@ -47,10 +47,10 @@ class TestCouplingGraph:
 
 class TestComponents:
     def test_union_find(self):
-        edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
-        comp = _components(4, edges)
-        assert comp[0] == comp[1] == comp[2]
-        assert comp[3] != comp[0]
+        """Edges join their endpoints: 0-1-2 is one component, 3 its own.
+        Each component is sorted by tid, in order of its lowest tid."""
+        adj = [[2], [2], [0, 1], []]
+        assert _components(adj) == [[0, 1, 2], [3]]
 
 
 class TestKGEvalEvaluate:
@@ -67,9 +67,14 @@ class TestKGEvalEvaluate:
         return kgeval_evaluate(triples, edges, seed=3, n_prop_iters=0)
 
     def test_full_coverage_and_reasonable_estimate(self, nell_coupled, nell_result):
-        triples, _ = nell_coupled
+        """One annotation per connected component labels every triple."""
+        triples, edges = nell_coupled
         r = nell_result
-        assert r.coverage == pytest.approx(1.0)
+        adj = [[] for _ in range(len(triples))]
+        for a, b in zip(edges["src"], edges["dst"]):
+            adj[a].append(b)
+            adj[b].append(a)
+        assert r.n_annotated == len(_components(adj))
         gold = triples["label"].mean()
         assert abs(r.mu_hat - gold) < 0.05
 
@@ -89,11 +94,18 @@ class TestKGEvalEvaluate:
         assert r.mu_hat == 1.0
         assert r.n_annotated == 1  # one control triple covers the component
 
-    def test_partial_coverage_target(self):
-        triples = pd.DataFrame({"tid": range(10), "label": [1] * 10})
+    def test_singletons_each_annotated(self):
+        triples = pd.DataFrame({"tid": range(10), "label": [1] * 5 + [0] * 5})
         edges = pd.DataFrame({"src": [], "dst": []})
-        r = kgeval_evaluate(triples, edges, seed=7, coverage_target=0.5)
-        assert 5 <= r.n_annotated <= 6  # singleton components, half covered
+        r = kgeval_evaluate(triples, edges, seed=7)
+        assert (r.n_annotated, r.mu_hat) == (10, 0.5)
+
+    def test_empty_kg_rejected(self):
+        """Like every sampling design, KGEval has no estimate for an empty KG."""
+        triples = pd.DataFrame({"tid": [], "label": []})
+        edges = pd.DataFrame({"src": [], "dst": []})
+        with pytest.raises(ValueError, match="KG has no triples"):
+            kgeval_evaluate(triples, edges, seed=1)
 
     def test_machine_time_measured(self, nell_result):
         r = nell_result
@@ -107,11 +119,22 @@ class TestKGEvalEvaluate:
         pd.testing.assert_frame_equal(triples, nell_coupled[0])
         pd.testing.assert_frame_equal(edges, nell_coupled[1])
         r = kgeval_evaluate(triples, edges, seed=3, n_prop_iters=0)
-        assert (r.mu_hat, r.n_annotated, r.coverage) == (
-            nell_result.mu_hat,
-            nell_result.n_annotated,
-            nell_result.coverage,
-        )
+        assert (r.mu_hat, r.n_annotated) == (nell_result.mu_hat, nell_result.n_annotated)
+
+    @pytest.mark.parametrize(
+        "gen, mean_group, seed, mu_hat, n_annotated",
+        [
+            (nell_like, 8.0, 3, 0.9001618996222343, 174),
+            (yago_like, 6.0, 9, 0.9847605224963716, 203),
+            (nell_like, 9.5, 3, 0.8985429033998921, 136),  # Table 6's setting
+        ],
+    )
+    def test_exact_outputs_pinned(self, gen, mean_group, seed, mu_hat, n_annotated):
+        """The selection order and the BFS's random draws fix the result
+        exactly for a (KG, mean_group, seed)."""
+        triples, edges = build_coupling(gen().to_pandas(), mean_group=mean_group, seed=seed)
+        r = kgeval_evaluate(triples, edges, seed=seed, n_prop_iters=0)
+        assert (r.mu_hat, r.n_annotated) == (mu_hat, n_annotated)
 
     def test_yago_annotation_count(self):
         """~204 annotations on YAGO (Table 6) with mean_group=6."""
