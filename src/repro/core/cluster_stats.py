@@ -37,6 +37,10 @@ class Population:
     sizes: np.ndarray  # M_i
     taus: np.ndarray  # tau_i
 
+    def __post_init__(self):
+        if len(self.sizes) == 0:
+            raise ValueError("KG has no triples")
+
     @property
     def n_clusters(self) -> int:
         return int(len(self.sizes))

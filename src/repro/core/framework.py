@@ -17,12 +17,11 @@ runs in the driver on the (small) accumulated sample.
 Batching conventions (calibrated against the paper's reported sample
 sizes; see EXPERIMENTS.md):
 
-- SRS draws triples in batches of ``batch_triples`` (default 25). All
-  batches come from one rand-keyed shuffled prefix of the KG, so the
-  pooled sample is a without-replacement SRS of its total size. A
-  subject is identified once, in the first batch that draws it (Sec 5.1).
-  The KG is never counted: the prefix doubles while a batch passes its
-  end, and a fetch that comes back short is the whole KG.
+- SRS draws triples in batches of ``batch_triples`` (default 25), sliced
+  off one rand-keyed prefix of the KG fetched once (``_run_srs`` sizes
+  it), so the pooled sample is a without-replacement SRS of its total
+  size. A subject is identified once, in the first batch that draws it
+  (Sec 5.1). The KG is never counted: a short fetch is the whole KG.
 - RCS/WCS/TWCS are the Monte-Carlo trials ``mc.rcs_trial`` and
   ``mc.twcs_trial`` run on ``_SparkClusters``, a population that
   collects the cluster sizes (the cluster index) and whose second stage
@@ -39,19 +38,20 @@ The stopping rule trusts the Normal-approximation MoE only after
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.annotate.annotator import SimulatedAnnotator
 from repro.core import cluster_sampling as cs
 from repro.core.cluster_stats import cluster_stats_df
 from repro.core.cost import DEFAULT_COST
-from repro.core.srs import estimate_srs, srs_sample
-from repro.core.stats import Estimate
+from repro.core.stats import Estimate, estimate_srs, z_value
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,9 @@ def sample_until(
 
 
 def _shuffled_prefix(df: DataFrame, n: int, *, seed: int) -> pd.DataFrame:
-    """First ``n`` rows of a deterministic rand(seed) ordering of ``df``.
-
-    Re-invoking with a larger ``n`` extends the same ordering (rand(seed)
-    is deterministic for a fixed plan), so iterative growth stays a
-    without-replacement sample.
-    """
-    return srs_sample(df, n, seed=seed).toPandas()
+    """First ``n`` rows of a rand(seed) ordering of ``df`` (all of a smaller
+    ``df``): one TakeOrderedAndProject, a without-replacement SRS (Sec 5.1)."""
+    return df.withColumn("_r", F.rand(seed)).orderBy("_r").limit(n).drop("_r").toPandas()
 
 
 def evaluate_static(
@@ -160,24 +156,31 @@ def evaluate_static(
 
 
 def _run_srs(kg: DataFrame, *, config: EvalConfig, seed: int) -> EvalResult:
+    """SRS batches sliced off one prefix of n* triples, fetched once.
+
+    Sec 5.1's variance mu(1-mu)/n is at most 1/(4n), so whatever the labels
+    the MoE is at most eps once n >= z^2/(4 eps^2): n* rests on this
+    worst-case half-width z/(2 sqrt(n)), which a narrower interval keeps
+    valid. n* also covers ``min_triples``, is capped at ``max_units`` and
+    is rounded up to whole batches, so the loop stops within it.
+    """
     ann = SimulatedAnnotator()
     labels: list[float] = []
     subjects: set[int] = set()
-    asked = 16 * config.batch_triples
+    b = config.batch_triples
+    need = max(config.min_triples, z_value(config.alpha) ** 2 / (4 * config.eps**2))
+    asked = b * math.ceil(min(config.max_units, need) / b)
     prefix = _shuffled_prefix(kg, asked, seed=seed)
     if prefix.empty:
         raise ValueError("KG has no triples")
 
     def draw() -> tuple[int, int] | None:
-        nonlocal prefix, asked
-        lo, hi = len(labels), len(labels) + config.batch_triples
-        # A fetch that comes back short of what it asked for is the whole KG.
-        while hi > len(prefix) and len(prefix) == asked:
-            asked = 2 * hi
-            prefix = _shuffled_prefix(kg, asked, seed=seed)
+        lo = len(labels)
         if lo >= len(prefix):
-            return None  # exact census
-        batch = ann.annotate_triples(prefix.iloc[lo:hi])
+            if len(prefix) < asked:  # a short fetch is the whole KG
+                return None  # exact census
+            raise RuntimeError(f"SRS ran past its {asked}-triple prefix without stopping")
+        batch = ann.annotate_triples(prefix.iloc[lo : lo + b])
         labels.extend(batch["label"].tolist())
         n_seen = len(subjects)
         subjects.update(batch["subject"].tolist())

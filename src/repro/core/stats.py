@@ -65,6 +65,19 @@ class Estimate:
         return (self.mu_hat - m, self.mu_hat + m)
 
 
+def estimate_srs(labels: np.ndarray, *, alpha: float) -> Estimate:
+    """Sample-mean estimator mu_hat_s (Eq 5) with Normal-approximation CI.
+
+    Var_hat[mu_hat] = mu_hat (1 - mu_hat) / n, per Sec 5.1.
+    """
+    y = np.asarray(labels, dtype=np.float64)
+    n = y.size
+    if n == 0:
+        return Estimate(mu_hat=0.0, var_hat=float("inf"), n_units=0, alpha=alpha)
+    mu = float(y.mean())
+    return Estimate(mu_hat=mu, var_hat=mu * (1.0 - mu) / n, n_units=n, alpha=alpha)
+
+
 def combine_stratified(weights: np.ndarray, per_stratum: list[Estimate]) -> Estimate:
     """Stratified combination (Eq 13): mu = sum W_h mu_h, var = sum W_h^2 var_h.
 

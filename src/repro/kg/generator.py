@@ -47,13 +47,12 @@ class SyntheticKG:
     name: str
     sizes: np.ndarray  # M_i per entity cluster, int64
     taus: np.ndarray  # tau_i correct triples per cluster, int64
-    probs: np.ndarray  # p_i used to draw taus (kept for oracle stratification)
     seed: int
     subject_offset: int = 0  # shift subject ids (evolving-KG update batches)
 
     def __post_init__(self):
-        if not (len(self.sizes) == len(self.taus) == len(self.probs)):
-            raise ValueError("sizes/taus/probs must align")
+        if len(self.sizes) != len(self.taus):
+            raise ValueError("sizes/taus must align")
         if np.any(self.taus > self.sizes) or np.any(self.taus < 0):
             raise ValueError("need 0 <= tau_i <= M_i")
         if np.any(self.sizes < 1):
@@ -75,11 +74,6 @@ class SyntheticKG:
     def accuracy(self) -> float:
         """Gold accuracy mu(G) = sum tau_i / sum M_i."""
         return float(self.taus.sum() / self.sizes.sum())
-
-    @property
-    def cluster_accuracies(self) -> np.ndarray:
-        """mu_i = tau_i / M_i."""
-        return self.taus / self.sizes
 
     def subjects(self) -> np.ndarray:
         return np.arange(self.n_entities, dtype=np.int64) + self.subject_offset
@@ -175,7 +169,7 @@ def nell_like(*, seed: int = 7) -> SyntheticKG:
     sizes = _shifted_poisson_sizes(817, 1.3, rng=rng)
     probs = L.calibrate(sizes, L.bmm_probs(sizes, c=0.1, sigma=0.05, k=1, rng=rng), 0.91)
     taus = L.draw_cluster_taus(sizes, probs, rng=rng)
-    return SyntheticKG("NELL", sizes, taus, probs, seed)
+    return SyntheticKG("NELL", sizes, taus, seed)
 
 
 def yago_like(*, seed: int = 11) -> SyntheticKG:
@@ -184,7 +178,7 @@ def yago_like(*, seed: int = 11) -> SyntheticKG:
     sizes = _shifted_poisson_sizes(822, 0.7, rng=rng)
     probs = L.calibrate(sizes, L.bmm_probs(sizes, c=0.1, sigma=0.02, k=1, rng=rng), 0.99)
     taus = L.draw_cluster_taus(sizes, probs, rng=rng)
-    return SyntheticKG("YAGO", sizes, taus, probs, seed)
+    return SyntheticKG("YAGO", sizes, taus, seed)
 
 
 _MOVIE_ENTITIES = 288_770
@@ -201,7 +195,7 @@ def movie_like(*, sf: float = 1.0, seed: int = 13) -> SyntheticKG:
     sizes = _lognormal_sizes(n, 9.2, sigma=1.4, rng=rng)
     probs = L.rem_probs(sizes, r_err=0.1)
     taus = L.draw_cluster_taus(sizes, probs, rng=rng)
-    return SyntheticKG(f"MOVIE(sf={sf:g})", sizes, taus, probs, seed)
+    return SyntheticKG(f"MOVIE(sf={sf:g})", sizes, taus, seed)
 
 
 def movie_syn(
@@ -213,7 +207,7 @@ def movie_syn(
     sizes = _lognormal_sizes(n, 9.2, sigma=1.4, rng=rng)
     probs = L.bmm_probs(sizes, c=c, sigma=sigma, k=k, rng=rng)
     taus = L.draw_cluster_taus(sizes, probs, rng=rng)
-    return SyntheticKG(f"MOVIE-SYN(sf={sf:g},c={c:g},sigma={sigma:g})", sizes, taus, probs, seed)
+    return SyntheticKG(f"MOVIE-SYN(sf={sf:g},c={c:g},sigma={sigma:g})", sizes, taus, seed)
 
 
 def movie_full_like(*, sf: float = 0.1, seed: int = 19) -> SyntheticKG:
@@ -224,4 +218,4 @@ def movie_full_like(*, sf: float = 0.1, seed: int = 19) -> SyntheticKG:
     sizes = _lognormal_sizes(n, 9.0, sigma=1.4, rng=rng)
     probs = L.rem_probs(sizes, r_err=0.1)
     taus = L.draw_cluster_taus(sizes, probs, rng=rng)
-    return SyntheticKG(f"MOVIE-FULL(sf={sf:g})", sizes, taus, probs, seed)
+    return SyntheticKG(f"MOVIE-FULL(sf={sf:g})", sizes, taus, seed)

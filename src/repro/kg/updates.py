@@ -44,7 +44,6 @@ def update_batch(
         name or f"DELTA(n~{n_triples},acc={accuracy:g})",
         sizes,
         taus,
-        probs,
         seed,
         subject_offset=subject_offset,
     )

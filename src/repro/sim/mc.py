@@ -41,8 +41,7 @@ from repro.core import cluster_sampling
 from repro.core.cluster_sampling import estimate_cluster_means, estimate_rcs
 from repro.core.cluster_stats import Population
 from repro.core.framework import EvalConfig, EvalResult, sample_until
-from repro.core.srs import estimate_srs
-from repro.core.stats import Estimate, combine_stratified
+from repro.core.stats import Estimate, combine_stratified, estimate_srs
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,6 @@ class TrialsSummary:
     mu_sd: float
     hours_mean: float
     hours_sd: float
-    draws_mean: float
-    draws_sd: float
     triples_mean: float
     triples_sd: float
     n_trials: int
@@ -65,15 +62,14 @@ class TrialsSummary:
         def sd(a: np.ndarray) -> float:
             return float(a.std(ddof=1)) if len(trials) > 1 else 0.0
 
-        mu, hrs, dr, tr = (
+        mu, hrs, tr = (
             np.array([getattr(t, f) for t in trials])
-            for f in ("mu_hat", "hours", "n_draws", "n_triples")
+            for f in ("mu_hat", "hours", "n_triples")
         )
         return cls(
             design,
             float(mu.mean()), sd(mu),
             float(hrs.mean()), sd(hrs),
-            float(dr.mean()), sd(dr),
             float(tr.mean()), sd(tr),
             len(trials),
             float(np.percentile(mu, 2.5)),

@@ -53,3 +53,10 @@ class TestPopulation:
         assert pop.n_triples == 10
         assert pop.mu == pytest.approx(0.9)
         assert np.allclose(pop.cluster_accuracies, [0.5, 1.0, 1.0])
+
+    def test_empty_population_rejected(self):
+        """Every MC design and the RS/SS evaluators sample a Population; an
+        empty one is the same error as an empty Spark KG, raised up front."""
+        e = np.array([], dtype=np.int64)
+        with pytest.raises(ValueError, match="KG has no triples"):
+            Population(e, e, e)

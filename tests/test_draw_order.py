@@ -20,11 +20,11 @@ from repro.sim import mc
 
 # dataclasses.astuple(mc.run_trials(NELL, design, n_trials=3, seed=42, m=3))
 MC = {
-    "srs": ("srs", 0.9159999999999999, 0.031749015732775075, 2.467592592592593, 0.7156273866925177, 133.33333333333334, 38.18813079129867, 133.33333333333334, 38.18813079129867, 3, 0.8824, 0.9393999999999999),
-    "rcs": ("rcs", 0.8945796402840407, 0.008476030052093648, 13.261111111111111, 0.10508851354459413, 472.0, 0.0, 1060.0, 15.132745950421556, 3, 0.8860635410282911, 0.9020370654092766),
-    "wcs": ("wcs", 0.9354629629629629, 0.004167438200173194, 1.5, 0.32102567587017283, 46.666666666666664, 11.547005383792515, 132.0, 25.709920264364882, 3, 0.9314652777777778, 0.9393819444444443),
-    "twcs": ("twcs", 0.9449074074074072, 0.01946097181202194, 1.1712962962962963, 0.5453194735100704, 40.0, 20.0, 96.66666666666667, 42.54801209614068, 3, 0.9296527777777777, 0.9652777777777777),
-    "twcs_stratified": ("twcs_stratified", 0.9273459545990578, 0.033593614361380864, 1.5717592592592593, 0.9011827076868181, 53.333333333333336, 30.550504633038933, 130.33333333333334, 74.80864477674578, 3, 0.9048642114616211, 0.963203813635546),
+    "srs": ("srs", 0.9159999999999999, 0.031749015732775075, 2.467592592592593, 0.7156273866925177, 133.33333333333334, 38.18813079129867, 3, 0.8824, 0.9393999999999999),
+    "rcs": ("rcs", 0.8945796402840407, 0.008476030052093648, 13.261111111111111, 0.10508851354459413, 1060.0, 15.132745950421556, 3, 0.8860635410282911, 0.9020370654092766),
+    "wcs": ("wcs", 0.9354629629629629, 0.004167438200173194, 1.5, 0.32102567587017283, 132.0, 25.709920264364882, 3, 0.9314652777777778, 0.9393819444444443),
+    "twcs": ("twcs", 0.9449074074074072, 0.01946097181202194, 1.1712962962962963, 0.5453194735100704, 96.66666666666667, 42.54801209614068, 3, 0.9296527777777777, 0.9652777777777777),
+    "twcs_stratified": ("twcs_stratified", 0.9273459545990578, 0.033593614361380864, 1.5717592592592593, 0.9011827076868181, 130.33333333333334, 74.80864477674578, 3, 0.9048642114616211, 0.963203813635546),
 }
 
 

@@ -5,7 +5,6 @@ from pyspark.sql import functions as F
 
 from repro.core import framework
 from repro.core.framework import EvalConfig, evaluate_static, sample_until
-from repro.core.srs import srs_sample
 from repro.core.stats import Estimate
 from repro.kg.generator import nell_like, yago_like
 
@@ -176,18 +175,33 @@ class TestClusterIndexMemo:
 
 class TestSrsWithoutCount:
     def test_srs_runs_no_count(self, nell_df, monkeypatch):
-        """SRS never counts the KG, also when its prefix has to grow, and
-        its sample is the first n_draws rows of the rand(seed) ordering."""
-        counts = []
-        count = type(nell_df).count
+        """SRS never counts the KG and fetches one prefix, sized by Sec 5.1's
+        MoE bound (n* = 400 at the defaults, 1075 at eps=0.03); its sample
+        is the first n_draws rows of that prefix."""
+        counts, fetched = [], []
+        count, prefix = type(nell_df).count, framework._shuffled_prefix
+
+        def spy(*args, **kwargs):
+            fetched.append(prefix(*args, **kwargs))
+            return fetched[-1]
+
         monkeypatch.setattr(type(nell_df), "count", lambda df: counts.append(df) or count(df))
-        r = evaluate_static(nell_df, design="srs", seed=21, config=EvalConfig(eps=0.02))
-        assert counts == []
-        assert r.n_draws > 16 * EvalConfig().batch_triples  # the prefix grew
-        monkeypatch.undo()
-        pdf = srs_sample(nell_df, r.n_draws, seed=21).toPandas()
-        assert r.mu_hat == pytest.approx(pdf["label"].mean(), rel=1e-12)
-        assert r.n_entities == pdf["subject"].nunique()
+        monkeypatch.setattr(framework, "_shuffled_prefix", spy)
+        for eps, rows in [(0.05, 400), (0.03, 1075)]:
+            fetched.clear()
+            r = evaluate_static(nell_df, design="srs", seed=21, config=EvalConfig(eps=eps))
+            assert counts == [] and len(fetched) == 1
+            assert len(fetched[0]) == rows >= r.n_draws
+            pdf = fetched[0].iloc[: r.n_draws]
+            assert r.mu_hat == pytest.approx(pdf["label"].mean(), rel=1e-12)
+            assert r.n_entities == pdf["subject"].nunique()
+
+    def test_short_prefix_of_a_larger_kg_raises(self, nell_df, monkeypatch):
+        """A batch past the end of a full prefix is an error, never an
+        "exhausted" stop on an unconverged estimate."""
+        monkeypatch.setattr(framework, "z_value", lambda alpha: 0.1)  # n* = 25
+        with pytest.raises(RuntimeError, match="25-triple prefix"):
+            evaluate_static(nell_df, design="srs", seed=21, config=EvalConfig(eps=0.02))
 
 
 class TestDeterminism:
@@ -264,13 +278,7 @@ class TestCensusEdgeCase:
         from repro.kg.generator import SyntheticKG
         import numpy as np
 
-        kg = SyntheticKG(
-            "tiny",
-            np.array([3, 2, 1]),
-            np.array([3, 1, 0]),
-            np.array([1.0, 0.5, 0.0]),
-            0,
-        )
+        kg = SyntheticKG("tiny", np.array([3, 2, 1]), np.array([3, 1, 0]), 0)
         df = kg.to_spark(spark)
         res = evaluate_static(df, design=design, seed=17, config=EvalConfig(batch_triples=2))
         assert res.stop_reason == "exhausted"

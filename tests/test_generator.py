@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.cluster_stats import Population
 from repro.kg.generator import (
     SyntheticKG,
     movie_full_like,
@@ -64,30 +65,19 @@ class TestProfiles:
 class TestSyntheticKGInvariants:
     def test_rejects_tau_above_size(self):
         with pytest.raises(ValueError):
-            SyntheticKG(
-                "bad",
-                np.array([2]),
-                np.array([3]),
-                np.array([0.5]),
-                0,
-            )
+            SyntheticKG("bad", np.array([2]), np.array([3]), 0)
 
     def test_rejects_zero_size(self):
         with pytest.raises(ValueError):
-            SyntheticKG("bad", np.array([0]), np.array([0]), np.array([0.5]), 0)
+            SyntheticKG("bad", np.array([0]), np.array([0]), 0)
 
     def test_cluster_accuracies(self):
-        kg = SyntheticKG(
-            "t", np.array([2, 4]), np.array([1, 4]), np.array([0.5, 1.0]), 0
-        )
-        assert np.allclose(kg.cluster_accuracies, [0.5, 1.0])
+        kg = SyntheticKG("t", np.array([2, 4]), np.array([1, 4]), 0)
+        assert np.allclose(Population.from_synthetic(kg).cluster_accuracies, [0.5, 1.0])
         assert kg.accuracy == pytest.approx(5 / 6)
 
     def test_subject_offset_shifts_ids(self):
-        kg = SyntheticKG(
-            "t", np.array([1, 1]), np.array([1, 0]), np.array([1.0, 0.0]), 0,
-            subject_offset=100,
-        )
+        kg = SyntheticKG("t", np.array([1, 1]), np.array([1, 0]), 0, subject_offset=100)
         assert (kg.subjects() == [100, 101]).all()
 
 

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.srs import estimate_srs, srs_sample
+from repro.core.framework import _shuffled_prefix
+from repro.core.stats import estimate_srs
 from repro.kg.generator import nell_like
 
 
@@ -13,31 +14,27 @@ def nell_df(spark):
 
 class TestSrsSampler:
     def test_exact_sample_size(self, nell_df):
-        assert srs_sample(nell_df, 50, seed=1).count() == 50
+        assert len(_shuffled_prefix(nell_df, 50, seed=1)) == 50
 
     def test_without_replacement(self, nell_df):
-        pdf = srs_sample(nell_df, 200, seed=2).toPandas()
+        pdf = _shuffled_prefix(nell_df, 200, seed=2)
         assert len(pdf.drop_duplicates()) == len(pdf)
 
     def test_deterministic_in_seed(self, nell_df):
-        a = srs_sample(nell_df, 30, seed=3).toPandas().sort_values("object")
-        b = srs_sample(nell_df, 30, seed=3).toPandas().sort_values("object")
+        a = _shuffled_prefix(nell_df, 30, seed=3).sort_values("object")
+        b = _shuffled_prefix(nell_df, 30, seed=3).sort_values("object")
         assert (a["object"].to_numpy() == b["object"].to_numpy()).all()
 
     def test_different_seeds_differ(self, nell_df):
-        a = set(srs_sample(nell_df, 30, seed=4).toPandas()["object"])
-        b = set(srs_sample(nell_df, 30, seed=5).toPandas()["object"])
+        a = set(_shuffled_prefix(nell_df, 30, seed=4)["object"])
+        b = set(_shuffled_prefix(nell_df, 30, seed=5)["object"])
         assert a != b
 
     def test_uniformity_over_triples(self, nell_df):
         """Mean label over a large sample approximates mu(G)."""
         mu = nell_like().accuracy
-        got = srs_sample(nell_df, 1200, seed=6).toPandas()["label"].mean()
+        got = _shuffled_prefix(nell_df, 1200, seed=6)["label"].mean()
         assert got == pytest.approx(mu, abs=0.03)
-
-    def test_rejects_nonpositive_n(self, nell_df):
-        with pytest.raises(ValueError):
-            srs_sample(nell_df, 0, seed=1)
 
 
 class TestSrsEstimator:
@@ -52,4 +49,3 @@ class TestSrsEstimator:
 
     def test_empty_sample(self):
         assert estimate_srs(np.array([]), alpha=0.05).moe == float("inf")
-

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster_sampling import estimate_cluster_means
-from repro.core.srs import estimate_srs
-from repro.core.stats import Estimate, cluster_var_hat, combine_stratified, z_value
+from repro.core.stats import Estimate, cluster_var_hat, combine_stratified, estimate_srs, z_value
 
 
 def srs_moe(mu_hat: float, n: int) -> float:
