@@ -90,14 +90,24 @@ class SyntheticKG:
         ``distributed=None`` auto-selects: the pandas path below 4M
         triples, else a Spark-native ``explode(sequence(...))`` expansion
         that never builds the triple table in the driver.
+
+        The one frame built from driver data (the triples here, the entity
+        table on the distributed path) is local-checkpointed. A frame from
+        ``createDataFrame`` scans partitions that hold the rows themselves,
+        so every task of every job, a cache hit included, would ship its
+        partition's rows from the driver. The checkpoint stores them in
+        Spark's block manager and cuts the lineage, so tasks carry only
+        partition ids. It keeps each partition and its row order, so a
+        ``rand(seed)`` ordering (SRS) sees the same layout as without it.
+        A ``.cache()`` on top keeps a second, columnar copy; ``unpersist``
+        drops that copy, not the checkpoint, which lives as long as the
+        frame does.
         """
         if distributed is None:
             distributed = self.n_triples >= 4_000_000
-        return (
-            self._to_spark_distributed(spark)
-            if distributed
-            else spark.createDataFrame(self.to_pandas())
-        )
+        if distributed:
+            return self._to_spark_distributed(spark)
+        return spark.createDataFrame(self.to_pandas()).localCheckpoint()
 
     def to_pandas(self) -> pd.DataFrame:
         """Triple-level expansion in the driver (small KGs and tests)."""
@@ -128,7 +138,7 @@ class SyntheticKG:
         def hashed(k: int, modulus: int):
             return F.pmod(F.xxhash64(F.lit(self.seed + k), "subject", "_line"), F.lit(modulus))
 
-        ent = spark.createDataFrame(self.cluster_pdf())
+        ent = spark.createDataFrame(self.cluster_pdf()).localCheckpoint()
         return ent.select(
             F.col("subject"),
             F.explode(F.sequence(F.lit(1), F.col("size"))).alias("_line"),

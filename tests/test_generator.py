@@ -2,8 +2,10 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame
 
 from repro.core.cluster_stats import Population
+from repro.core.framework import evaluate_static
 from repro.kg.generator import (
     SyntheticKG,
     movie_full_like,
@@ -147,3 +149,46 @@ class TestSparkMaterialisation:
             spark, "createDataFrame", lambda *a, **kw: create(*a, **kw).repartition(7)
         )
         pd.testing.assert_frame_equal(rows(), want)
+
+
+class TestLocalCheckpoint:
+    """``to_spark`` checkpoints the frame it builds from driver data."""
+
+    @pytest.mark.parametrize("distributed", [False, True])
+    def test_frame_holds_no_driver_data(self, spark, distributed):
+        """A cached frame's tasks carry partition ids, not the driver's rows:
+        no ``ParallelCollectionRDD`` is left in its lineage."""
+        df = movie_like(sf=0.002).to_spark(spark, distributed=distributed).cache()
+        try:
+            df.count()
+            lineage = df._jdf.queryExecution().toRdd().toDebugString()
+        finally:
+            df.unpersist()
+        assert "ParallelCollectionRDD" not in lineage
+
+    @pytest.mark.parametrize("distributed,sf", [(False, 0.02), (True, 0.002)])
+    def test_checkpoint_moves_no_sample(self, spark, monkeypatch, distributed, sf):
+        """SRS's rand(seed) prefix and TWCS's draws are the same on the
+        checkpointed frame as on a frame built without the checkpoint: a
+        plain ``createDataFrame`` for the pandas path, the distributed path
+        with ``localCheckpoint`` made a no-op."""
+        kg = movie_like(sf=sf)
+
+        def results(df):
+            df = df.cache()
+            try:
+                return [
+                    evaluate_static(df, design=design, m=m, seed=seed)
+                    for design, m in (("srs", None), ("twcs", 10))
+                    for seed in (1, 42)
+                ]
+            finally:
+                df.unpersist()
+
+        got = results(kg.to_spark(spark, distributed=distributed))
+        if distributed:
+            monkeypatch.setattr(DataFrame, "localCheckpoint", lambda self, *a, **kw: self)
+            want = results(kg.to_spark(spark, distributed=True))
+        else:
+            want = results(spark.createDataFrame(kg.to_pandas()))
+        assert got == want
