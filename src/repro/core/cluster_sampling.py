@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.stats import Estimate, cluster_var_hat
 
@@ -46,10 +45,18 @@ def draws_to_triples(kg: DataFrame, subjects: np.ndarray) -> pd.DataFrame:
 
     Rows are sorted by (subject, predicate, object), so a row's position
     depends on the KG's content only.
+
+    The filter is one SQL expression, ``subject IN (...)``, built from the
+    distinct subjects in the driver and sent in one call, so the fetch
+    sends the same py4j commands whatever the number of draws. ``isin``
+    would send each subject as its own literal, four py4j round trips per
+    subject; Spark's optimizer turns both into the same ``INSET`` filter.
     """
-    wanted = np.unique(subjects).tolist()
+    wanted = np.unique(subjects)
+    if wanted.size == 0:
+        raise ValueError("no subjects to fetch")
     pdf = (
-        kg.filter(F.col("subject").isin(wanted))
+        kg.filter(f"subject IN ({', '.join(map(str, wanted.tolist()))})")
         .select("subject", "predicate", "object", "label")
         .toPandas()
     )

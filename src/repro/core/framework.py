@@ -130,7 +130,7 @@ def sample_until(
 def _shuffled_prefix(df: DataFrame, n: int, *, seed: int) -> pd.DataFrame:
     """First ``n`` rows of a rand(seed) ordering of ``df`` (all of a smaller
     ``df``): one TakeOrderedAndProject, a without-replacement SRS (Sec 5.1)."""
-    return df.withColumn("_r", F.rand(seed)).orderBy("_r").limit(n).drop("_r").toPandas()
+    return df.orderBy(F.rand(seed)).limit(n).toPandas()
 
 
 def evaluate_static(
@@ -144,12 +144,14 @@ def evaluate_static(
     """Run the Fig 2 loop with the given sampling design on a Spark KG.
 
     design in {"srs", "rcs", "wcs", "twcs"}; ``m`` is the TWCS
-    second-stage cap (required for "twcs").
+    second-stage cap, required for "twcs" and rejected for the others.
     """
     if design not in {"srs", "rcs", "wcs", "twcs"}:
         raise ValueError(f"unknown design {design!r}")
     if design == "twcs" and (m is None or m < 1):
         raise ValueError("twcs requires m >= 1")
+    if design != "twcs" and m is not None:
+        raise ValueError(f"m is the TWCS second-stage cap; {design} takes no m, got {m}")
     if design == "srs":
         return _run_srs(kg, config=config, seed=seed)
     return _run_cluster(kg, design=design, m=m, config=config, seed=seed)

@@ -2,10 +2,11 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import cluster_sampling as cs
 from repro.core.cluster_stats import Population
-from repro.kg.generator import nell_like
+from repro.kg.generator import SyntheticKG, nell_like
 from repro.oracle import assert_equivalent
 from repro.sim import mc
 
@@ -87,6 +88,56 @@ class TestDrawsToTriples:
             kg=nell.to_pandas(),
             draws=pd.DataFrame({"subject": subjects}),
         )
+
+
+class TestFetchFilter:
+    """``draws_to_triples`` sends its filter as one SQL expression."""
+
+    @staticmethod
+    def gateway_commands(spark, monkeypatch, fn):
+        """py4j commands sent while ``fn`` runs, object releases not counted
+        (those follow Python's garbage collector, not the call)."""
+        client = spark.sparkContext._gateway._gateway_client
+        send, sent = client.send_command, []
+
+        def counting(command, *args, **kwargs):
+            if not command.startswith("m\n"):
+                sent.append(command)
+            return send(command, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(client, "send_command", counting)
+            fn()
+        return len(sent)
+
+    def test_command_count_does_not_grow_with_draws(self, spark, monkeypatch, nell_df, pop):
+        counts = [
+            self.gateway_commands(
+                spark, monkeypatch, lambda: cs.draws_to_triples(nell_df, pop.subjects[:k])
+            )
+            for k in (2, 500)
+        ]
+        assert counts[0] == counts[1]
+
+    def test_large_subject_ids_match_isin(self, spark):
+        """Subjects past 2**31 are fetched as BIGINTs, as ``isin`` fetches them."""
+        sizes, taus = np.array([3, 1, 4, 2]), np.array([2, 1, 4, 0])
+        kg = SyntheticKG("offset", sizes, taus, 5, subject_offset=2**40)
+        df = kg.to_spark(spark)
+        wanted = kg.subjects()[[0, 2, 3]]
+        got = cs.draws_to_triples(df, wanted[[2, 0, 1, 0]])
+        want = (
+            df.filter(F.col("subject").isin(wanted.tolist()))
+            .select("subject", "predicate", "object", "label")
+            .toPandas()
+            .sort_values(["subject", "predicate", "object"], ignore_index=True)
+        )
+        assert len(got) == 9
+        pd.testing.assert_frame_equal(got, want)
+
+    def test_no_subjects_rejected(self, nell_df):
+        with pytest.raises(ValueError, match="no subjects"):
+            cs.draws_to_triples(nell_df, np.array([], dtype=np.int64))
 
 
 class TestSecondStage:

@@ -239,6 +239,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             evaluate_static(nell_df, design="twcs")
 
+    @pytest.mark.parametrize("design", ["srs", "rcs", "wcs"])
+    def test_m_rejected_outside_twcs(self, nell_df, design):
+        """An m that the design would ignore is an error, not a silent
+        run of the uncapped design."""
+        with pytest.raises(ValueError, match="takes no m"):
+            evaluate_static(nell_df, design=design, m=5)
+
     @pytest.mark.parametrize(
         "design,m", [("srs", None), ("rcs", None), ("wcs", None), ("twcs", 3)]
     )
