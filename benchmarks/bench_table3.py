@@ -1,8 +1,9 @@
 """Benchmark: Table 3 (data characteristics via Spark aggregation).
 
-MOVIE at sf=0.1 and MOVIE-FULL at sf=0.02 (~2.6M triples through the
-distributed explode generator) keep the bench within budget; the
-table5/7 harnesses cover MOVIE at full cluster scale on the MC layer.
+MOVIE at sf=0.1 and MOVIE-FULL at sf=0.02 (~2.6M triples, which
+``to_spark`` explodes from the entity table in Spark, like every KG) keep
+the bench within budget; the table5/7 harnesses cover MOVIE at full
+cluster scale on the MC layer.
 """
 from benchmarks._util import run_once, save
 from repro.tables import table3

@@ -3,10 +3,11 @@
 The paper's estimators depend on the KG only through the cluster-size
 vector {M_i} and the per-cluster correct counts {tau_i} (Sec 5). Each
 generator therefore first draws cluster-level arrays deterministically
-in numpy (used directly by the Monte-Carlo layer), and expands them to a
-triple-level Spark DataFrame with *exactly* tau_i correct triples per
+in numpy (used directly by the Monte-Carlo layer); Spark expands their
+entity table to the triples, with *exactly* tau_i correct triples per
 cluster — so the Spark layer and the MC layer see the same population
-and cross-validation tests can compare them exactly.
+and cross-validation tests can compare them exactly. ``to_pandas`` is a
+driver-side expansion for KGEval's coupling graph and tests.
 
 Profiles (paper dataset -> generator):
 
@@ -84,55 +85,20 @@ class SyntheticKG:
             {"subject": self.subjects(), "size": self.sizes, "tau": self.taus}
         )
 
-    def to_spark(self, spark: SparkSession, *, distributed: bool | None = None) -> DataFrame:
+    def to_spark(self, spark: SparkSession) -> DataFrame:
         """Materialise the triple-level KG as a Spark DataFrame.
 
-        ``distributed=None`` auto-selects: the pandas path below 4M
-        triples, else a Spark-native ``explode(sequence(...))`` expansion
-        that never builds the triple table in the driver.
-
-        The one frame built from driver data (the triples here, the entity
-        table on the distributed path) is local-checkpointed. A frame from
-        ``createDataFrame`` scans partitions that hold the rows themselves,
-        so every task of every job, a cache hit included, would ship its
-        partition's rows from the driver. The checkpoint stores them in
-        Spark's block manager and cuts the lineage, so tasks carry only
-        partition ids. It keeps each partition and its row order, so a
-        ``rand(seed)`` ordering (SRS) sees the same layout as without it.
-        A ``.cache()`` on top keeps a second, columnar copy; ``unpersist``
-        drops that copy, not the checkpoint, which lives as long as the
-        frame does.
-        """
-        if distributed is None:
-            distributed = self.n_triples >= 4_000_000
-        if distributed:
-            return self._to_spark_distributed(spark)
-        return spark.createDataFrame(self.to_pandas()).localCheckpoint()
-
-    def to_pandas(self) -> pd.DataFrame:
-        """Triple-level expansion in the driver (small KGs and tests)."""
-        sizes = self.sizes
-        total = self.n_triples
-        subj = np.repeat(self.subjects(), sizes)
-        # Per-cluster line number 1..M_i: global index minus cluster start.
-        starts = np.repeat(np.concatenate(([0], np.cumsum(sizes)[:-1])), sizes)
-        line = np.arange(total, dtype=np.int64) - starts + 1
-        label = (line <= np.repeat(self.taus, sizes)).astype(np.int32)
-        g = np.random.default_rng(self.seed + 1000)
-        return pd.DataFrame(
-            {
-                "subject": subj,
-                "predicate": g.integers(0, _N_PREDICATES, total).astype(np.int32),
-                "object": g.integers(0, 1 << 40, total),
-                "label": label,
-            }
-        )
-
-    def _to_spark_distributed(self, spark: SparkSession) -> DataFrame:
-        """Driver holds only the entity table; triples come from explode().
-
+        The driver builds only the entity table, one row per cluster;
+        Spark expands it to the triples with ``explode(sequence(1, M_i))``.
         Predicate and object hash (seed, subject, line), so every row's
         content is fixed by the seed whatever the partitioning.
+
+        The entity table is local-checkpointed: a ``createDataFrame`` frame
+        scans partitions that hold its rows, so every task of every job,
+        cache hits included, would ship them from the driver. The checkpoint
+        keeps them in Spark's block manager, so tasks carry only partition
+        ids. It lives as long as the frame; ``unpersist`` drops only a
+        ``.cache()`` copy of the triples.
         """
 
         def hashed(k: int, modulus: int):
@@ -148,6 +114,28 @@ class SyntheticKG:
             hashed(2000, _N_PREDICATES).cast("int").alias("predicate"),
             hashed(3000, 1 << 40).alias("object"),
             (F.col("_line") <= F.col("tau")).cast("int").alias("label"),
+        )
+
+    def to_pandas(self) -> pd.DataFrame:
+        """Triple-level expansion in the driver, for KGEval and tests. It
+        agrees with ``to_spark`` on each cluster's subject, size and tau_i
+        and on each line's label, but not on predicate or object: a numpy
+        stream draws them here, a hash in ``to_spark``."""
+        sizes = self.sizes
+        total = self.n_triples
+        subj = np.repeat(self.subjects(), sizes)
+        # Per-cluster line number 1..M_i: global index minus cluster start.
+        starts = np.repeat(np.concatenate(([0], np.cumsum(sizes)[:-1])), sizes)
+        line = np.arange(total, dtype=np.int64) - starts + 1
+        label = (line <= np.repeat(self.taus, sizes)).astype(np.int32)
+        g = np.random.default_rng(self.seed + 1000)
+        return pd.DataFrame(
+            {
+                "subject": subj,
+                "predicate": g.integers(0, _N_PREDICATES, total).astype(np.int32),
+                "object": g.integers(0, 1 << 40, total),
+                "label": label,
+            }
         )
 
 

@@ -203,18 +203,20 @@ def run_trials(
 ) -> TrialsSummary:
     """Repeat a design ``n_trials`` times; summarise cost and estimate.
 
-    ``"twcs_stratified"`` splits ``pop`` by its ``strata`` labels once,
-    and every trial draws from the same sub-populations.
+    ``m`` is for the TWCS designs only, ``strata`` for ``"twcs_stratified"``
+    only: it splits ``pop`` by them once, and every trial draws from those.
     """
     if design in ("twcs", "twcs_stratified") and (m is None or m < 1):
         raise ValueError(f"{design} requires m >= 1, got {m!r}")
+    if design not in ("twcs", "twcs_stratified") and m is not None:
+        raise ValueError(f"m is the TWCS second-stage cap; {design} takes no m, got {m}")
+    if (design == "twcs_stratified") != (strata is not None):
+        raise ValueError(f"strata go with twcs_stratified and only with it, got {design!r}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if design == "twcs":
         trial = lambda rng: twcs_trial(pop, m, rng, cfg)
     elif design == "twcs_stratified":
-        if strata is None:
-            raise ValueError("twcs_stratified requires strata")
         labels = np.asarray(strata)
         masks = [labels == h for h in np.unique(labels)]
         subs = [Population(pop.subjects[k], pop.sizes[k], pop.taus[k]) for k in masks]

@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.core.cluster_stats import Population
 from repro.core.framework import evaluate_static
@@ -113,7 +114,7 @@ class TestSparkMaterialisation:
 
     def test_distributed_path_matches_cluster_stats(self, spark):
         kg = movie_like(sf=0.002)
-        df = kg.to_spark(spark, distributed=True)
+        df = kg.to_spark(spark)
         got = (
             df.groupBy("subject")
             .agg({"label": "sum", "*": "count"})
@@ -124,14 +125,37 @@ class TestSparkMaterialisation:
         assert (got["count(1)"].to_numpy() == kg.sizes).all()
         assert (got["sum(label)"].to_numpy() == kg.taus).all()
 
-    def test_distributed_and_pandas_paths_agree_on_totals(self, spark):
+    def test_never_expands_in_the_driver(self, spark, monkeypatch):
+        def refuse(self):
+            raise AssertionError("to_spark called to_pandas")
+
+        monkeypatch.setattr(SyntheticKG, "to_pandas", refuse)
+        kg = nell_like()
+        assert kg.to_spark(spark).count() == kg.n_triples
+
+    def test_agrees_with_to_pandas_per_cluster(self, spark):
+        """The two materialisations share (subject, size, sum of labels)
+        per cluster; predicate and object differ by design."""
         kg = movie_like(sf=0.002)
-        a = kg.to_spark(spark, distributed=False)
-        b = kg.to_spark(spark, distributed=True)
-        assert a.count() == b.count()
-        sa = a.agg({"label": "sum"}).collect()[0][0]
-        sb = b.agg({"label": "sum"}).collect()[0][0]
-        assert sa == sb
+        want = (
+            kg.to_pandas().groupby("subject")["label"].agg(["count", "sum"]).reset_index()
+        )
+        got = (
+            kg.to_spark(spark)
+            .groupBy("subject")
+            .agg(F.count("*").alias("count"), F.sum("label").alias("sum"))
+            .toPandas()
+            .sort_values("subject", ignore_index=True)
+        )
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+    def test_schema(self, spark):
+        assert nell_like().to_spark(spark).dtypes == [
+            ("subject", "bigint"),
+            ("predicate", "int"),
+            ("object", "bigint"),
+            ("label", "int"),
+        ]
 
     def test_distributed_path_independent_of_partitioning(self, spark, monkeypatch):
         """Every row's content is fixed by the seed, not by how Spark
@@ -140,7 +164,7 @@ class TestSparkMaterialisation:
         cols = ["subject", "predicate", "object", "label"]
 
         def rows():
-            pdf = kg.to_spark(spark, distributed=True).toPandas()
+            pdf = kg.to_spark(spark).toPandas()
             return pdf.sort_values(cols, ignore_index=True)
 
         want = rows()
@@ -152,13 +176,12 @@ class TestSparkMaterialisation:
 
 
 class TestLocalCheckpoint:
-    """``to_spark`` checkpoints the frame it builds from driver data."""
+    """``to_spark`` checkpoints the entity table it builds from driver data."""
 
-    @pytest.mark.parametrize("distributed", [False, True])
-    def test_frame_holds_no_driver_data(self, spark, distributed):
+    def test_frame_holds_no_driver_data(self, spark):
         """A cached frame's tasks carry partition ids, not the driver's rows:
         no ``ParallelCollectionRDD`` is left in its lineage."""
-        df = movie_like(sf=0.002).to_spark(spark, distributed=distributed).cache()
+        df = movie_like(sf=0.002).to_spark(spark).cache()
         try:
             df.count()
             lineage = df._jdf.queryExecution().toRdd().toDebugString()
@@ -166,12 +189,11 @@ class TestLocalCheckpoint:
             df.unpersist()
         assert "ParallelCollectionRDD" not in lineage
 
-    @pytest.mark.parametrize("distributed,sf", [(False, 0.02), (True, 0.002)])
-    def test_checkpoint_moves_no_sample(self, spark, monkeypatch, distributed, sf):
+    @pytest.mark.parametrize("sf", [0.02, 0.002])
+    def test_checkpoint_moves_no_sample(self, spark, monkeypatch, sf):
         """SRS's rand(seed) prefix and TWCS's draws are the same on the
-        checkpointed frame as on a frame built without the checkpoint: a
-        plain ``createDataFrame`` for the pandas path, the distributed path
-        with ``localCheckpoint`` made a no-op."""
+        checkpointed frame as on one built with ``localCheckpoint`` made a
+        no-op."""
         kg = movie_like(sf=sf)
 
         def results(df):
@@ -185,10 +207,6 @@ class TestLocalCheckpoint:
             finally:
                 df.unpersist()
 
-        got = results(kg.to_spark(spark, distributed=distributed))
-        if distributed:
-            monkeypatch.setattr(DataFrame, "localCheckpoint", lambda self, *a, **kw: self)
-            want = results(kg.to_spark(spark, distributed=True))
-        else:
-            want = results(spark.createDataFrame(kg.to_pandas()))
-        assert got == want
+        got = results(kg.to_spark(spark))
+        monkeypatch.setattr(DataFrame, "localCheckpoint", lambda self, *a, **kw: self)
+        assert got == results(kg.to_spark(spark))

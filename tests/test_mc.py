@@ -162,6 +162,17 @@ class TestDesignOrdering:
         with pytest.raises(ValueError, match="m >= 1"):
             mc.run_trials(nell_pop, design, m=0, strata=strata, n_trials=1, seed=1)
 
+    @pytest.mark.parametrize(
+        "design,stray",
+        [("srs", "m"), ("rcs", "m"), ("wcs", "m"), ("srs", "strata"), ("twcs", "strata")],
+    )
+    def test_run_trials_rejects_arguments_the_design_ignores(self, nell_pop, design, stray):
+        """A stray ``m`` or ``strata`` would run another design than asked."""
+        kw = {"m": 3} if design == "twcs" else {}
+        kw[stray] = 3 if stray == "m" else np.zeros(nell_pop.n_clusters, dtype=int)
+        with pytest.raises(ValueError, match="takes no m" if stray == "m" else "strata"):
+            mc.run_trials(nell_pop, design, n_trials=1, seed=1, **kw)
+
     def test_run_trials_rejects_no_trials(self, nell_pop):
         """No trials leave nothing to summarise (np.percentile of nothing)."""
         with pytest.raises(ValueError, match="n_trials"):

@@ -54,8 +54,11 @@ def test_run_trials_reaches_every_design_through_the_hooks(monkeypatch):
     pop = Population.from_synthetic(nell_like())
     strata = np_assign_stratum_by_size(pop.sizes, np_cum_sqrt_f_boundaries(pop.sizes, 2))
     for design in dict(McStatic.MIX):
+        kw = {"m": 3} if design.startswith("twcs") else {}
+        if design == "twcs_stratified":
+            kw["strata"] = strata
         calls.clear()
-        mc.run_trials(pop, design, n_trials=2, seed=1, m=3, strata=strata)
+        mc.run_trials(pop, design, n_trials=2, seed=1, **kw)
         assert calls[design] == 2, design
 
 
