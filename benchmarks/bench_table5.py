@@ -1,18 +1,14 @@
 """Benchmark: Table 5 (four designs x three KGs, Monte-Carlo layer).
 
-MOVIE runs at full cluster scale (sf=1, 288,770 clusters); trials are
-reduced from the paper's 1,000 to 300 (30 for the census-slow RCS cells)
-— REPRO_TRIALS overrides.
+Runs ``table5.compute()`` at the job defaults: MOVIE at full cluster
+scale (sf=1, 288,770 clusters) and the paper's 1,000 trials (100 for the
+census-slow RCS cells) — REPRO_TRIALS overrides.
 """
 from benchmarks._util import run_once, save
 from repro.tables import table5
-from repro.tables.common import n_trials
 
 
 def test_table5(benchmark):
-    t = n_trials(300)
-    rows = run_once(
-        benchmark, lambda: table5.compute(movie_sf=1.0, trials=t, rcs_trials=max(3, t // 10))
-    )
+    rows = run_once(benchmark, table5.compute)
     assert len(rows) == 12
     save("table5", table5.table_text(rows))

@@ -1,10 +1,11 @@
-"""Benchmark: Table 7 (TWCS with size/oracle stratification)."""
+"""Benchmark: Table 7 (TWCS with size/oracle stratification) at the job
+defaults, MOVIE and MOVIE-SYN at sf=1 and the paper's 1,000 trials —
+REPRO_TRIALS overrides."""
 from benchmarks._util import run_once, save
 from repro.tables import table7
-from repro.tables.common import n_trials
 
 
 def test_table7(benchmark):
-    rows = run_once(benchmark, lambda: table7.compute(movie_sf=1.0, trials=n_trials(300)))
+    rows = run_once(benchmark, table7.compute)
     assert len(rows) == 12
     save("table7", table7.table_text(rows))

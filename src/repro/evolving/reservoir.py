@@ -40,9 +40,8 @@ from repro.core.stats import Estimate
 
 @dataclass
 class _Member:
-    """An annotated reservoir cluster: cluster ``i`` of ``pop`` and its sample mean."""
+    """An annotated reservoir cluster: its sample mean and second-stage size."""
 
-    i: int
     mean: float
     s: int  # triples annotated in the second stage
 
@@ -58,12 +57,12 @@ class ReservoirEvaluator:
 
     m: int
     cfg: EvalConfig = field(default_factory=EvalConfig)
-    pop: Population | None = None
-    keys: np.ndarray = field(default_factory=lambda: np.empty(0))
-    members: list[tuple[float, int, _Member]] = field(default_factory=list)
-    ledger: CostLedger = field(default_factory=CostLedger)
-    n_insertions: int = 0  # reservoir entries after the initial fill (Prop 3)
-    stop_reason: str | None = None  # the last top-up loop's (see sample_until)
+    pop: Population | None = field(default=None, init=False)
+    keys: np.ndarray = field(default_factory=lambda: np.empty(0), init=False)
+    members: list[tuple[float, int, _Member]] = field(default_factory=list, init=False)
+    ledger: CostLedger = field(default_factory=CostLedger, init=False)
+    n_insertions: int = field(default=0, init=False)  # entries after the initial fill (Prop 3)
+    stop_reason: str | None = field(default=None, init=False)  # the last top-up loop's
 
     @property
     def spare(self) -> np.ndarray:
@@ -75,7 +74,7 @@ class ReservoirEvaluator:
     def _enter(self, i: int, rng) -> int:
         s, good = self.pop.second_stage(i, self.m, rng)
         self.ledger.charge_task(int(s))
-        heapq.heappush(self.members, (self.keys[i], i, _Member(i, float(good / s), int(s))))
+        heapq.heappush(self.members, (self.keys[i], i, _Member(float(good / s), int(s))))
         return int(s)
 
     def estimate(self) -> Estimate:

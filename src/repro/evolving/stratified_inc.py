@@ -45,9 +45,9 @@ class StratifiedIncrementalEvaluator:
 
     m: int
     cfg: EvalConfig = field(default_factory=EvalConfig)
-    strata: list[_Stratum] = field(default_factory=list)
-    ledger: CostLedger = field(default_factory=CostLedger)
-    stop_reason: str | None = None  # the last loop's (see sample_until)
+    strata: list[_Stratum] = field(default_factory=list, init=False)
+    ledger: CostLedger = field(default_factory=CostLedger, init=False)
+    stop_reason: str | None = field(default=None, init=False)  # the last loop's (see sample_until)
 
     def estimate(self) -> Estimate:
         w = np.array([st.pop.n_triples for st in self.strata], dtype=np.float64)

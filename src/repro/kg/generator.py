@@ -14,14 +14,16 @@ Profiles (paper dataset -> generator):
 - NELL  (817 entities / 1,860 triples, avg 2.3, acc 91%)  -> nell_like
 - YAGO  (822 / 1,386, avg 1.7, acc 99%)                  -> yago_like
 - MOVIE (288,770 / 2,653,870, avg 9.2, acc ~90%)          -> movie_like(sf)
-- MOVIE-SYN (MOVIE structure + BMM labels, Eq 15)          -> movie_syn(sf, c, sigma)
+- MOVIE-SYN (MOVIE structure + BMM labels, Eq 15)          -> movie_syn(sf)
 - MOVIE-FULL (14,495,142 / 130,591,799, avg 9.0)           -> movie_full_like(sf)
 
 NELL/YAGO use shifted-Poisson cluster sizes (NELL: >98% of clusters
 below size 5, matching Sec 7.2.2); MOVIE* use a heavy-tailed
 lognormal (largest clusters in the thousands at sf=1, matching
-Sec 5.2.3). Gold accuracies are pinned via ``labels.calibrate`` while
-preserving the size-accuracy correlation of Fig 3.
+Sec 5.2.3); MOVIE, MOVIE-FULL and ``kg.updates``' batches share one
+lognormal-REM draw, ``_lognormal_rem``. Gold accuracies are pinned
+via ``labels.calibrate`` while preserving the size-accuracy
+correlation of Fig 3.
 
 Triple schema: (subject: long, predicate: int, object: long, label: int)
 where ``label`` is the hidden ground-truth correctness — only the
@@ -139,14 +141,23 @@ class SyntheticKG:
         )
 
 
-def _lognormal_sizes(
-    n: int, mean_target: float, *, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Heavy-tailed sizes: lognormal rescaled to the target mean, then
-    rounded with a floor of 1 (largest clusters reach the thousands)."""
-    x = rng.lognormal(0.0, sigma, size=n)
+def _lognormal_sizes(n: int, mean_target: float, *, rng: np.random.Generator) -> np.ndarray:
+    """Heavy-tailed sizes: lognormal(0, 1.4) rescaled to the target mean,
+    then rounded with a floor of 1 (largest clusters reach the thousands)."""
+    x = rng.lognormal(0.0, 1.4, size=n)
     x *= mean_target / x.mean()
     return np.maximum(1, np.rint(x)).astype(np.int64)
+
+
+def _lognormal_rem(
+    name: str, n: int, mean: float, r_err: float, seed: int, subject_offset: int = 0
+) -> SyntheticKG:
+    """n lognormal clusters of the given mean size with REM labels at error
+    rate r_err: the one draw behind MOVIE, MOVIE-FULL and every update batch."""
+    rng = np.random.default_rng(seed)
+    sizes = _lognormal_sizes(n, mean, rng=rng)
+    taus = L.draw_cluster_taus(sizes, L.rem_probs(sizes, r_err=r_err), rng=rng)
+    return SyntheticKG(name, sizes, taus, seed, subject_offset)
 
 
 def _shifted_poisson_sizes(n: int, lam: float, *, rng: np.random.Generator) -> np.ndarray:
@@ -188,32 +199,22 @@ def movie_like(*, sf: float = 1.0, seed: int = 13) -> SyntheticKG:
 
     Labels: REM with error rate 0.1 (gold acc 90%), the paper's REM r=0.1
     wherever MOVIE needs synthetic labels."""
-    rng = np.random.default_rng(seed)
     n = max(10, int(round(_MOVIE_ENTITIES * sf)))
-    sizes = _lognormal_sizes(n, 9.2, sigma=1.4, rng=rng)
-    probs = L.rem_probs(sizes, r_err=0.1)
-    taus = L.draw_cluster_taus(sizes, probs, rng=rng)
-    return SyntheticKG(f"MOVIE(sf={sf:g})", sizes, taus, seed)
+    return _lognormal_rem(f"MOVIE(sf={sf:g})", n, 9.2, 0.1, seed)
 
 
-def movie_syn(
-    *, sf: float = 1.0, c: float = 0.01, sigma: float = 0.1, k: int = 3, seed: int = 17
-) -> SyntheticKG:
-    """MOVIE-SYN: MOVIE cluster structure with BMM labels (Eq 15)."""
+def movie_syn(*, sf: float = 1.0, seed: int = 17) -> SyntheticKG:
+    """MOVIE-SYN: MOVIE cluster structure with Table 7's BMM labels (Eq 15)."""
     rng = np.random.default_rng(seed)
     n = max(10, int(round(_MOVIE_ENTITIES * sf)))
-    sizes = _lognormal_sizes(n, 9.2, sigma=1.4, rng=rng)
-    probs = L.bmm_probs(sizes, c=c, sigma=sigma, k=k, rng=rng)
+    sizes = _lognormal_sizes(n, 9.2, rng=rng)
+    probs = L.bmm_probs(sizes, c=0.01, sigma=0.1, k=3, rng=rng)
     taus = L.draw_cluster_taus(sizes, probs, rng=rng)
-    return SyntheticKG(f"MOVIE-SYN(sf={sf:g},c={c:g},sigma={sigma:g})", sizes, taus, seed)
+    return SyntheticKG(f"MOVIE-SYN(sf={sf:g},c=0.01,sigma=0.1)", sizes, taus, seed)
 
 
 def movie_full_like(*, sf: float = 0.1, seed: int = 19) -> SyntheticKG:
     """MOVIE-FULL at scale factor sf (sf=1 would be 14.5M entities / 130M
     triples; the Table 3 bench uses sf=0.1 — see DESIGN.md substitutions)."""
-    rng = np.random.default_rng(seed)
     n = max(10, int(round(_MOVIE_FULL_ENTITIES * sf)))
-    sizes = _lognormal_sizes(n, 9.0, sigma=1.4, rng=rng)
-    probs = L.rem_probs(sizes, r_err=0.1)
-    taus = L.draw_cluster_taus(sizes, probs, rng=rng)
-    return SyntheticKG(f"MOVIE-FULL(sf={sf:g})", sizes, taus, seed)
+    return _lognormal_rem(f"MOVIE-FULL(sf={sf:g})", n, 9.0, 0.1, seed)

@@ -7,15 +7,12 @@ keeps reservoir weights constant), so an update batch is itself just a
 SyntheticKG whose subject ids live in a fresh id range.
 
 ``update_batch`` draws a batch with a requested triple count and
-accuracy, using the MOVIE-like lognormal cluster structure — the paper
-draws its update batches from MOVIE-FULL (Sec 7.3).
+accuracy through the generator's MOVIE-FULL draw, ``_lognormal_rem`` —
+the paper draws its update batches from MOVIE-FULL (Sec 7.3).
 """
 from __future__ import annotations
 
-import numpy as np
-
-from repro.kg import labels as L
-from repro.kg.generator import SyntheticKG, _lognormal_sizes
+from repro.kg.generator import SyntheticKG, _lognormal_rem
 
 
 def update_batch(
@@ -35,17 +32,13 @@ def update_batch(
     """
     if n_triples < 1:
         raise ValueError("n_triples must be >= 1")
-    rng = np.random.default_rng(seed)
-    n_clusters = max(1, int(round(n_triples / 9.0)))
-    sizes = _lognormal_sizes(n_clusters, 9.0, sigma=1.4, rng=rng)
-    probs = L.rem_probs(sizes, r_err=1.0 - accuracy)
-    taus = L.draw_cluster_taus(sizes, probs, rng=rng)
-    return SyntheticKG(
+    return _lognormal_rem(
         name or f"DELTA(n~{n_triples},acc={accuracy:g})",
-        sizes,
-        taus,
+        max(1, int(round(n_triples / 9.0))),
+        9.0,
+        1.0 - accuracy,
         seed,
-        subject_offset=subject_offset,
+        subject_offset,
     )
 
 

@@ -99,8 +99,7 @@ def sequence_rows(
     to that value to probe fault tolerance (RS recovers, SS lingers)."""
     t = trials if trials is not None else n_trials(20)
     base = _base(base_sf)
-    est = {"RS": np.zeros((t, n_batches + 1)), "SS": np.zeros((t, n_batches + 1))}
-    truth = np.zeros(n_batches + 1)
+    est = {col: np.zeros((t, n_batches + 1)) for col in ("RS", "SS", "truth")}
     for k in range(t):
         deltas = [
             Population.from_synthetic(d)
@@ -131,16 +130,15 @@ def sequence_rows(
             pops.append(delta)
             est["RS"][k, b] = rs.apply_update(delta, rng).mu_hat
             est["SS"][k, b] = ss.apply_update(delta, rng2).mu_hat
-            if k == 0:
-                tot = sum(p.n_triples for p in pops)
-                truth[b] = sum(p.mu * p.n_triples for p in pops) / tot
-    truth[0] = base.mu
+            tot = sum(p.n_triples for p in pops)
+            est["truth"][k, b] = sum(p.mu * p.n_triples for p in pops) / tot
+    est["truth"][:, 0] = base.mu
     rows = []
     for b in range(n_batches + 1):
         rows.append(
             {
                 "batch": b,
-                "truth": f"{100 * truth[b]:.1f}%",
+                "truth": f"{100 * est['truth'][:, b].mean():.1f}%",
                 "RS est": f"{100 * est['RS'][:, b].mean():.1f}%",
                 "SS est": f"{100 * est['SS'][:, b].mean():.1f}%",
             }

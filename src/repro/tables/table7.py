@@ -45,7 +45,7 @@ def compute(*, movie_sf: float = 1.0, trials: int | None = None, seed: int = 2) 
     t = trials if trials is not None else n_trials(1000)
     kgs = [
         ("NELL", Population.from_synthetic(nell_like())),
-        ("MOVIE-SYN", Population.from_synthetic(movie_syn(sf=movie_sf, c=0.01, sigma=0.1))),
+        ("MOVIE-SYN", Population.from_synthetic(movie_syn(sf=movie_sf))),
         ("MOVIE", Population.from_synthetic(movie_like(sf=movie_sf))),
     ]
     rows = []

@@ -22,9 +22,9 @@ def compute() -> list[dict]:
     return [dict(r) for r in ROWS]
 
 
-def table_text(rows: list[dict] | None = None) -> str:
+def table_text() -> str:
     return render(
         "Table 8: Summary of existing work on KG accuracy evaluation",
-        rows or compute(),
+        compute(),
         ["feature", "SRS", "KGEval", "Ours"],
     )

@@ -1,4 +1,6 @@
 """Tests for the synthetic KG generators (Table 3 data characteristics)."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -15,6 +17,7 @@ from repro.kg.generator import (
     nell_like,
     yago_like,
 )
+from repro.kg.updates import update_batch, update_sequence
 
 
 class TestProfiles:
@@ -49,7 +52,7 @@ class TestProfiles:
 
     def test_movie_syn_bmm_accuracy_band(self):
         # Paper reports gold accuracy 62% for c=0.01, sigma=0.1 (Table 7).
-        kg = movie_syn(sf=0.05, c=0.01, sigma=0.1)
+        kg = movie_syn(sf=0.05)
         assert 0.55 <= kg.accuracy <= 0.68
 
     def test_movie_full_profile(self):
@@ -210,3 +213,63 @@ class TestLocalCheckpoint:
         got = results(kg.to_spark(spark))
         monkeypatch.setattr(DataFrame, "localCheckpoint", lambda self, *a, **kw: self)
         assert got == results(kg.to_spark(spark))
+
+
+def _digest(kg: SyntheticKG) -> str:
+    """sha256 of a KG's name, seed, sizes, tau_i and subject ids."""
+    h = hashlib.sha256(f"{kg.name}|{kg.seed}".encode())
+    for a in (kg.sizes, kg.taus, kg.subjects()):
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenDraws:
+    """Every profile, at its defaults and one other seed or sf, and update
+    batches, pinned to the exact sizes, tau_i and subject ids they draw.
+    Any change to the draw order or the profile constants changes them,
+    and so would every table."""
+
+    @pytest.mark.parametrize(
+        "gen, kw, want",
+        [
+            (nell_like, {}, "be3c38fbbdc339cedc74042735f0df74d76abef238d88bf62808445075178327"),
+            (nell_like, {"seed": 8}, "93570e8a6adc5133cd14f4de2787adc32ec7f41e4b8ec231215ac4b5bacfa90c"),
+            (yago_like, {}, "6d795c860c0d320f3b34f13549e9883e1a35fb97032b7b1ea8f0e8c1b64ad319"),
+            (yago_like, {"seed": 12}, "bd6acc0f5fff42a49e494b868636b7619b4852771940abd875bc35c9d1d69af3"),
+            (movie_like, {}, "eb20a3c384c5856f03cf37fb9de78939f514ca39919727290e0b0fa8f0531cfc"),
+            (movie_like, {"sf": 0.02, "seed": 21}, "d629033b2fef3d1a61203d54180995c42be84481cab2c203a6425c05f610bccd"),
+            (movie_syn, {}, "d1dab2596fec98eee1f6caa7be8c4722d0de7e94152bbab08f1dd42aa5295156"),
+            (movie_syn, {"sf": 0.05, "seed": 3}, "b1af4b7dcd7ded9ce79f4e06b545c23fe4b8bf60953db53ef9c8490d049f842d"),
+            (movie_full_like, {}, "32615fb78e1339fb47ba76886f9e62a696336d210f255962d3d016d7f9a8911d"),
+            (movie_full_like, {"sf": 0.01, "seed": 5}, "af005844c58b355d2370eacf3a61562de14af1429bdcca1eba283da6db29a52e"),
+            (
+                update_batch,
+                {"n_triples": 5000, "accuracy": 0.9, "seed": 9, "subject_offset": 10_000_000},
+                "3faab452c99f32ea210d0f90e93110b9393981eb631f22e1cc3f4c2fbd40295c",
+            ),
+            (
+                update_batch,
+                {"n_triples": 100, "accuracy": 0.9, "seed": 3, "subject_offset": 500},
+                "d1d48b382d6cbbe4bee43e16e9f246721c751512eff162c2d26cad922a76131a",
+            ),
+            (
+                update_batch,
+                {"n_triples": 20_000, "accuracy": 0.7, "seed": 2, "subject_offset": 0, "name": "D"},
+                "240f1fcb18dd79ae534e2901c2847a1c6903aff46dc35a8f1d9f0189a4e4f993",
+            ),
+        ],
+        ids=lambda v: (
+            v.__name__ if callable(v)
+            else ",".join(f"{k}={x}" for k, x in v.items()) or "defaults" if isinstance(v, dict)
+            else v[:8]
+        ),
+    )
+    def test_kg(self, gen, kw, want):
+        assert _digest(gen(**kw)) == want
+
+    def test_update_sequence(self):
+        seq = update_sequence(
+            n_batches=4, n_triples_each=3000, accuracy=0.9, seed=77, subject_offset=10_000_000
+        )
+        got = hashlib.sha256("".join(_digest(d) for d in seq).encode()).hexdigest()
+        assert got == "a55d3581a13df9817f37d3dfa115a5aa971de7155e2f95696d5f07ff205c6807"

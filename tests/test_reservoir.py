@@ -29,7 +29,7 @@ class TestSparkReservoir:
         for seed in range(300):
             ev = ReservoirEvaluator(m=5)
             ev.initialise(pop, np.random.default_rng(seed))
-            hits[[mb.i for _, _, mb in ev.members]] += 1
+            hits[[i for _, i, _ in ev.members]] += 1
         big = pop.sizes >= np.percentile(pop.sizes, 90)
         small = pop.sizes <= np.percentile(pop.sizes, 50)
         assert hits[big].mean() > 3 * hits[small].mean()
@@ -68,7 +68,7 @@ class TestReservoirEvaluator:
         ev.initialise(base_pop, rng)
         for _ in range(2):
             ev.apply_update(delta_pop, rng)
-        member_i = np.array(sorted(mb.i for _, _, mb in ev.members))
+        member_i = np.array(sorted(i for _, i, _ in ev.members))
         one_shot = np.sort(np.argsort(-ev.keys)[: len(ev.members)])
         np.testing.assert_array_equal(member_i, one_shot)
         assert ev.pop.n_clusters == base_pop.n_clusters + 2 * delta_pop.n_clusters
@@ -76,6 +76,13 @@ class TestReservoirEvaluator:
             np.sort(np.concatenate([member_i, ev.spare])), np.arange(ev.pop.n_clusters)
         )
         assert ev.keys[ev.spare].max() < min(key for key, _, _ in ev.members)
+
+    @pytest.mark.parametrize(
+        "state", ["pop", "keys", "members", "ledger", "n_insertions", "stop_reason"]
+    )
+    def test_state_is_not_a_constructor_option(self, state):
+        with pytest.raises(TypeError):
+            ReservoirEvaluator(m=5, **{state: []})
 
     def test_update_before_initialise_rejected(self, delta_pop):
         ev = ReservoirEvaluator(m=5)

@@ -55,6 +55,11 @@ class TestAlgorithm2:
         ev.apply_update(delta_pop, rng)
         assert ev.strata[0].means == base_draws
 
+    @pytest.mark.parametrize("state", ["strata", "ledger", "stop_reason"])
+    def test_state_is_not_a_constructor_option(self, state):
+        with pytest.raises(TypeError):
+            StratifiedIncrementalEvaluator(m=5, **{state: []})
+
     def test_update_before_initialise_rejected(self, delta_pop):
         ev = StratifiedIncrementalEvaluator(m=5)
         with pytest.raises(RuntimeError):

@@ -3,8 +3,12 @@
 Small scale factors / trial counts keep these fast; the shape assertions
 (which method wins, roughly by how much) are the reproduction contract.
 """
+import numpy as np
 import pytest
 
+from repro.core.cluster_stats import Population
+from repro.kg.generator import movie_like
+from repro.kg.updates import update_sequence
 from repro.tables import evolving, table3, table4, table5, table6, table7, table8
 from repro.tables.common import render
 
@@ -161,6 +165,21 @@ class TestEvolvingHarness:
         truth = float(last["truth"].rstrip("%"))
         for k in ("RS est", "SS est"):
             assert abs(float(last[k].rstrip("%")) - truth) < 5.0
+
+    def test_sequence_truth_is_the_mean_over_trials(self):
+        """Each trial draws its own update sequence (seed + 31k), so the
+        truth column averages their accuracies as the estimates do."""
+        base = Population.from_synthetic(movie_like(sf=0.002, seed=21))
+        truth = np.zeros((3, 3))
+        for k in range(3):
+            deltas = update_sequence(
+                n_batches=2, n_triples_each=int(base.n_triples * 0.1), accuracy=0.9,
+                seed=77 + 31 * k, subject_offset=10_000_000,
+            )
+            pops = [base] + [Population.from_synthetic(d) for d in deltas]
+            truth[k] = [Population.concat(pops[: b + 1]).mu for b in range(3)]
+        rows = evolving.sequence_rows(base_sf=0.002, n_batches=2, trials=3)
+        assert [r["truth"] for r in rows] == [f"{100 * x:.1f}%" for x in truth.mean(axis=0)]
 
 
 class TestRender:
