@@ -8,6 +8,9 @@ smallest-key replacement loop: because top-n is associative,
 ``top-n(G + Delta) = top-n(top-n(G) ∪ keys(Delta))``, so an update only
 compares Delta's keys against the reservoir. The clusters outside it are
 those keyed below its smallest key, so the top-up pool is read off the keys.
+The sizes, tau_i and keys of every cluster seen live in arrays whose
+capacity doubles when full, so an update writes Delta in place:
+amortised O(|Delta|) work, not a copy of G + Delta.
 
 The evaluator follows the paper: the reservoir is *used as* the TWCS
 first-stage sample (per-cluster second-stage SRS of <= m triples,
@@ -50,9 +53,10 @@ class _Member:
 class ReservoirEvaluator:
     """RS over a sequence of update batches (Sec 6.1).
 
-    ``pop`` is every cluster seen (the base KG, then each Delta) and
-    ``keys`` their A-Res keys. ``members`` is a min-heap of (key, index
-    into ``pop``, member): Algorithm 1 evicts the smallest key.
+    ``pop`` and ``keys`` are views of the first n rows of ``_buf``: every
+    cluster seen (the base KG, then each Delta) and their A-Res keys.
+    ``members`` is a min-heap of (key, index into ``pop``, member):
+    Algorithm 1 evicts the smallest key.
     """
 
     m: int
@@ -63,6 +67,24 @@ class ReservoirEvaluator:
     ledger: CostLedger = field(default_factory=CostLedger, init=False)
     n_insertions: int = field(default=0, init=False)  # entries after the initial fill (Prop 3)
     stop_reason: str | None = field(default=None, init=False)  # the last top-up loop's
+    # (subjects, sizes, taus, keys) of every cluster seen, then spare capacity
+    _buf: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
+
+    def _append(self, pop: Population, keys: np.ndarray) -> None:
+        """Write ``pop``'s clusters and keys after those seen so far,
+        doubling the buffers' capacity when they are full."""
+        n0 = self.keys.size
+        n = n0 + pop.n_clusters
+        cols = (pop.subjects, pop.sizes, pop.taus, keys)
+        if n > (self._buf[0].size if self._buf else 0):
+            grown = tuple(np.empty(max(n, 2 * n0), dtype=c.dtype) for c in cols)
+            for new, old in zip(grown, self._buf):
+                new[:n0] = old[:n0]
+            self._buf = grown
+        for b, c in zip(self._buf, cols):
+            b[n0:n] = c
+        subjects, sizes, taus, self.keys = (b[:n] for b in self._buf)
+        self.pop = Population(subjects, sizes, taus)
 
     @property
     def spare(self) -> np.ndarray:
@@ -99,8 +121,7 @@ class ReservoirEvaluator:
 
     def initialise(self, pop: Population, rng: np.random.Generator) -> Estimate:
         """Static phase on the base KG: grow the reservoir until MoE <= eps."""
-        self.pop = pop
-        self.keys = rng.random(pop.n_clusters) ** (1.0 / pop.sizes)
+        self._append(pop, rng.random(pop.n_clusters) ** (1.0 / pop.sizes))
         return self._top_up_until_converged(rng)
 
     def apply_update(self, delta: Population, rng: np.random.Generator) -> Estimate:
@@ -108,9 +129,8 @@ class ReservoirEvaluator:
         if not self.members:
             raise RuntimeError("initialise() must run before apply_update()")
         delta_keys = rng.random(delta.n_clusters) ** (1.0 / delta.sizes)
-        n0, size_before = self.pop.n_clusters, len(self.members)
-        self.pop = Population.concat([self.pop, delta])
-        self.keys = np.concatenate([self.keys, delta_keys])
+        n0, size_before = self.keys.size, len(self.members)
+        self._append(delta, delta_keys)
         # The smallest key only rises, so no cluster outside this set can enter.
         for j in np.flatnonzero(delta_keys > self.members[0][0]):
             if delta_keys[j] > self.members[0][0]:  # beats the smallest reservoir key

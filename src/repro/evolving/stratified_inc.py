@@ -37,6 +37,18 @@ UPDATE_BATCH_CLUSTERS = 5
 class _Stratum:
     pop: Population
     means: list[float] = field(default_factory=list)  # per-draw TWCS means
+    # (means, len(means), Eq 9 estimate) as last computed
+    _memo: tuple = field(default=(None, 0, None), init=False, repr=False)
+
+    def estimate(self, alpha: float) -> Estimate:
+        """Eq 9 over this stratum's draws, recomputed only when draws are
+        appended or ``means`` is replaced: only the newest stratum changes
+        after an update, so an SS estimate costs O(1) per frozen stratum."""
+        means, n, est = self._memo
+        if means is not self.means or n != len(self.means):
+            est = estimate_cluster_means(np.asarray(self.means), alpha=alpha)
+            self._memo = (self.means, len(self.means), est)
+        return est
 
 
 @dataclass
@@ -52,9 +64,7 @@ class StratifiedIncrementalEvaluator:
     def estimate(self) -> Estimate:
         w = np.array([st.pop.n_triples for st in self.strata], dtype=np.float64)
         w /= w.sum()
-        alpha = self.cfg.alpha
-        per = [estimate_cluster_means(np.asarray(st.means), alpha=alpha) for st in self.strata]
-        return combine_stratified(w, per)
+        return combine_stratified(w, [st.estimate(self.cfg.alpha) for st in self.strata])
 
     def _sample_until_converged(
         self, st: _Stratum, rng: np.random.Generator, batch: int

@@ -15,7 +15,7 @@ from repro.core.stratification import np_assign_stratum_by_size, np_cum_sqrt_f_b
 from repro.evolving.reservoir import ReservoirEvaluator
 from repro.evolving.stratified_inc import StratifiedIncrementalEvaluator
 from repro.kg.generator import movie_like, nell_like
-from repro.kg.updates import update_batch
+from repro.kg.updates import update_batch, update_sequence
 from repro.sim import mc
 
 # dataclasses.astuple(mc.run_trials(NELL, design, n_trials=3, seed=42, m=3))
@@ -97,3 +97,57 @@ def test_stratified_incremental(base_and_delta):
     assert ss.hours == 1.0916666666666666
     assert [len(st.means) for st in ss.strata] == [22, 2]
     assert ests[-1].n_units == 24
+
+
+# (mu_hat, var_hat, n_units, stop_reason) after initialise and after each of
+# five updates of half the base's triples: RS's arrays of every cluster seen
+# outgrow their capacity more than once on the way.
+SEQUENCE = {
+    "rs": [
+        (0.863611111111111, 0.0005925128164888052, 60, "moe"),
+        (0.8644444444444445, 0.0005673990374555346, 60, "moe"),
+        (0.8933333333333332, 0.00046252354048964214, 60, "moe"),
+        (0.9133333333333333, 0.0004376647834274952, 60, "moe"),
+        (0.9002777777777778, 0.00045676265955220765, 60, "moe"),
+        (0.9002777777777777, 0.00045676265955220754, 60, "moe"),
+    ],
+    "ss": [
+        (0.8817204301075268, 0.00044519502870605707, 62, "moe"),
+        (0.8926435096888801, 0.0003803124647187546, 69, "moe"),
+        (0.9196092507126994, 0.00021325346795247576, 71, "moe"),
+        (0.9357384851324984, 0.0001362654854290565, 73, "moe"),
+        (0.9464906451351782, 9.448076024926093e-05, 75, "moe"),
+        (0.9398325571812954, 0.00027445779272709727, 77, "moe"),
+    ],
+}
+
+
+def _run_sequence(ev, base, rng):
+    """(mu_hat, var_hat, n_units, stop_reason) after each step of ``ev``."""
+    deltas = update_sequence(
+        n_batches=5,
+        n_triples_each=base.n_triples // 2,
+        accuracy=0.9,
+        seed=11,
+        subject_offset=10_000_000,
+    )
+    out = []
+    for d in [None, *deltas]:
+        e = ev.initialise(base, rng) if d is None else ev.apply_update(Population.from_synthetic(d), rng)
+        out.append((e.mu_hat, e.var_hat, e.n_units, ev.stop_reason))
+    return out
+
+
+def test_reservoir_sequence(base_and_delta):
+    base, _ = base_and_delta
+    rs = ReservoirEvaluator(m=5)
+    assert _run_sequence(rs, base, np.random.default_rng(12)) == SEQUENCE["rs"]
+    assert (rs.hours, len(rs.spare), rs.n_insertions) == (5.906944444444444, 20600, 72)
+
+
+def test_stratified_incremental_sequence(base_and_delta):
+    base, _ = base_and_delta
+    ss = StratifiedIncrementalEvaluator(m=5)
+    assert _run_sequence(ss, base, np.random.default_rng(13)) == SEQUENCE["ss"]
+    assert ss.hours == 3.5388888888888888
+    assert [len(st.means) for st in ss.strata] == [62, 7, 2, 2, 2, 2]

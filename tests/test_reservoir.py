@@ -6,7 +6,7 @@ from repro.core.cluster_stats import Population
 from repro.core.framework import EvalConfig
 from repro.evolving.reservoir import ReservoirEvaluator
 from repro.kg.generator import movie_like
-from repro.kg.updates import update_batch
+from repro.kg.updates import update_batch, update_sequence
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +132,30 @@ class TestReservoirEvaluator:
             base_pop.n_triples + delta_pop.n_triples
         )
         assert np.mean(ests) == pytest.approx(truth, abs=0.03)
+
+
+class TestUpdateCost:
+    """An update writes Delta in place: O(|Delta|), not a copy of G + Delta."""
+
+    def test_updates_never_concatenate_the_population(self, base_pop, monkeypatch):
+        def refuse(pops):
+            raise AssertionError("Population.concat copies every cluster seen")
+
+        monkeypatch.setattr(Population, "concat", refuse)
+        ev, rng = ReservoirEvaluator(m=5), np.random.default_rng(5)
+        ev.initialise(base_pop, rng)
+        for d in update_sequence(
+            n_batches=3, n_triples_each=3000, accuracy=0.9, seed=7, subject_offset=10_000_000
+        ):
+            ev.apply_update(Population.from_synthetic(d), rng)
+        assert ev.pop.n_clusters == ev.keys.size
+
+    def test_update_within_capacity_keeps_the_key_buffer(self, base_pop, delta_pop):
+        ev, rng = ReservoirEvaluator(m=5), np.random.default_rng(6)
+        ev.initialise(base_pop, rng)
+        ev.apply_update(delta_pop, rng)  # outgrows the base's exact fit: capacity doubles
+        assert ev.keys.size + delta_pop.n_clusters <= 2 * base_pop.n_clusters
+        keys = ev.keys
+        ev.apply_update(delta_pop, rng)
+        assert np.shares_memory(keys, ev.keys)
+        np.testing.assert_array_equal(ev.keys[: keys.size], keys)

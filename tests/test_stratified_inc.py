@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.cluster_stats import Population
 from repro.core.framework import EvalConfig
+from repro.evolving import stratified_inc
 from repro.evolving.stratified_inc import StratifiedIncrementalEvaluator
 from repro.kg.generator import movie_like
 from repro.kg.updates import update_batch, update_sequence
@@ -106,6 +107,33 @@ class TestAlgorithm2:
             est = ev.apply_update(Population.from_synthetic(d), rng)
             assert est.moe <= ev.cfg.eps
         assert len(ev.strata) == 4
+
+    def test_update_estimates_only_the_new_stratum(self, base_pop, monkeypatch):
+        """Algorithm 2 only samples the newest stratum, so the frozen ones
+        keep their Eq 9 estimates: one update computes Eq 9 once per
+        estimate of the loop (batches + 1), not once per stratum."""
+        ev = StratifiedIncrementalEvaluator(m=5)
+        rng = np.random.default_rng(6)
+        ev.initialise(base_pop, rng)
+        deltas = update_sequence(
+            n_batches=5, n_triples_each=3000, accuracy=0.9, seed=7, subject_offset=10_000_000
+        )
+        for d in deltas[:4]:
+            ev.apply_update(Population.from_synthetic(d), rng)
+        calls = []
+        kernel = stratified_inc.estimate_cluster_means
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(stratified_inc, "estimate_cluster_means", counting)
+        draws0 = sum(len(st.means) for st in ev.strata)
+        ev.apply_update(Population.from_synthetic(deltas[4]), rng)
+        draws = sum(len(st.means) for st in ev.strata) - draws0
+        batches = 1 + max(0, draws - 2) // stratified_inc.UPDATE_BATCH_CLUSTERS
+        assert len(ev.strata) == 6
+        assert 0 < len(calls) <= batches + 1
 
 
 class TestFaultToleranceTradeoff:
