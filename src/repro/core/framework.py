@@ -127,6 +127,16 @@ def sample_until(
         return EvalResult(est, hours, est.n_units, n_triples, n_batches, reason, n_entities)
 
 
+def check_m(design: str, m: int | None) -> None:
+    """``m`` is the TWCS second-stage cap: required, and >= 1, for the TWCS
+    designs ("twcs", "twcs_stratified"), rejected for the others."""
+    twcs = design in ("twcs", "twcs_stratified")
+    if twcs and (m is None or m < 1):
+        raise ValueError(f"{design} requires m >= 1, got {m!r}")
+    if not twcs and m is not None:
+        raise ValueError(f"m is the TWCS second-stage cap; {design} takes no m, got {m}")
+
+
 def _shuffled_prefix(df: DataFrame, n: int, *, seed: int) -> pd.DataFrame:
     """First ``n`` rows of a rand(seed) ordering of ``df`` (all of a smaller
     ``df``): one TakeOrderedAndProject, a without-replacement SRS (Sec 5.1)."""
@@ -148,10 +158,7 @@ def evaluate_static(
     """
     if design not in {"srs", "rcs", "wcs", "twcs"}:
         raise ValueError(f"unknown design {design!r}")
-    if design == "twcs" and (m is None or m < 1):
-        raise ValueError("twcs requires m >= 1")
-    if design != "twcs" and m is not None:
-        raise ValueError(f"m is the TWCS second-stage cap; {design} takes no m, got {m}")
+    check_m(design, m)
     if design == "srs":
         return _run_srs(kg, config=config, seed=seed)
     return _run_cluster(kg, design=design, m=m, config=config, seed=seed)

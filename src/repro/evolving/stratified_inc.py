@@ -37,18 +37,6 @@ UPDATE_BATCH_CLUSTERS = 5
 class _Stratum:
     pop: Population
     means: list[float] = field(default_factory=list)  # per-draw TWCS means
-    # (means, len(means), Eq 9 estimate) as last computed
-    _memo: tuple = field(default=(None, 0, None), init=False, repr=False)
-
-    def estimate(self, alpha: float) -> Estimate:
-        """Eq 9 over this stratum's draws, recomputed only when draws are
-        appended or ``means`` is replaced: only the newest stratum changes
-        after an update, so an SS estimate costs O(1) per frozen stratum."""
-        means, n, est = self._memo
-        if means is not self.means or n != len(self.means):
-            est = estimate_cluster_means(np.asarray(self.means), alpha=alpha)
-            self._memo = (self.means, len(self.means), est)
-        return est
 
 
 @dataclass
@@ -58,28 +46,36 @@ class StratifiedIncrementalEvaluator:
     m: int
     cfg: EvalConfig = field(default_factory=EvalConfig)
     strata: list[_Stratum] = field(default_factory=list, init=False)
+    # Eq 9 estimate of each stratum but the newest, as it stood when the
+    # next update arrived: Algorithm 2 never samples a stratum again.
+    frozen: list[Estimate] = field(default_factory=list, init=False)
     ledger: CostLedger = field(default_factory=CostLedger, init=False)
     stop_reason: str | None = field(default=None, init=False)  # the last loop's (see sample_until)
 
+    def _newest(self) -> Estimate:
+        return estimate_cluster_means(np.asarray(self.strata[-1].means), alpha=self.cfg.alpha)
+
     def estimate(self) -> Estimate:
+        """Eq 13: Eq 9 anew on the newest stratum, the frozen ones' as kept,
+        so an SS estimate costs O(1) per frozen stratum."""
         w = np.array([st.pop.n_triples for st in self.strata], dtype=np.float64)
         w /= w.sum()
-        return combine_stratified(w, [st.estimate(self.cfg.alpha) for st in self.strata])
+        return combine_stratified(w, [*self.frozen, self._newest()])
 
     def _sample_until_converged(
         self, st: _Stratum, rng: np.random.Generator, batch: int
     ) -> Estimate:
-        """Algorithm 2's while-loop: batches on the new stratum ``st`` only.
-        Its first batch is 2 draws, the fewest that give a variance."""
+        """Algorithm 2's while-loop: batches on the new stratum ``st`` only,
+        after a first one of 2 draws, the fewest that give a variance."""
 
-        def draw() -> tuple[int, int]:
-            k = batch if st.means else 2
+        def draw(k: int = batch) -> tuple[int, int]:
             s, good = st.pop.second_stage(_pps_draws(st.pop, k, rng), self.m, rng)
             st.means.extend((good / s).tolist())
             for si in s:
                 self.ledger.charge_task(int(si))
             return k, int(s.sum())
 
+        draw(2)
         res = sample_until(self.cfg, self.cfg.min_draws, self.estimate, draw)
         self.stop_reason = res.stop_reason
         return res.estimate
@@ -94,6 +90,7 @@ class StratifiedIncrementalEvaluator:
         """Algorithm 2: Delta is a fresh stratum; only it gets sampled."""
         if not self.strata:
             raise RuntimeError("initialise() must run before apply_update()")
+        self.frozen.append(self._newest())
         st = _Stratum(delta)
         self.strata.append(st)
         return self._sample_until_converged(st, rng, UPDATE_BATCH_CLUSTERS)

@@ -40,7 +40,7 @@ import numpy as np
 from repro.core import cluster_sampling
 from repro.core.cluster_sampling import estimate_cluster_means, estimate_rcs
 from repro.core.cluster_stats import Population
-from repro.core.framework import EvalConfig, EvalResult, sample_until
+from repro.core.framework import EvalConfig, EvalResult, check_m, sample_until
 from repro.core.stats import Estimate, combine_stratified, estimate_srs
 
 
@@ -206,10 +206,7 @@ def run_trials(
     ``m`` is for the TWCS designs only, ``strata`` for ``"twcs_stratified"``
     only: it splits ``pop`` by them once, and every trial draws from those.
     """
-    if design in ("twcs", "twcs_stratified") and (m is None or m < 1):
-        raise ValueError(f"{design} requires m >= 1, got {m!r}")
-    if design not in ("twcs", "twcs_stratified") and m is not None:
-        raise ValueError(f"m is the TWCS second-stage cap; {design} takes no m, got {m}")
+    check_m(design, m)
     if (design == "twcs_stratified") != (strata is not None):
         raise ValueError(f"strata go with twcs_stratified and only with it, got {design!r}")
     if n_trials < 1:

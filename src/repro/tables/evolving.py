@@ -13,7 +13,8 @@ the numbers as rows (recorded as an appendix in EXPERIMENTS.md):
 
 The paper's setting: base KG = 50% random subset of MOVIE (REM labels at
 90%), updates drawn from MOVIE-FULL. We mirror it with the MOVIE-like
-generator at sf=0.5 and MOVIE-FULL-profile update batches.
+generator (seed 21) as the base, at sf=0.5 for Fig 8 and sf=0.25 for
+Fig 9 by default, and MOVIE-FULL-profile update batches.
 """
 from __future__ import annotations
 
@@ -29,17 +30,23 @@ from repro.sim import mc
 from repro.tables.common import n_trials, render
 
 
-def _base(sf: float, seed: int = 21) -> Population:
-    return Population.from_synthetic(movie_like(sf=sf, seed=seed))
+_M = 5  # TWCS second-stage size of every evaluator here
 
 
-def single_batch_rows(
-    *,
-    base_sf: float = 0.5,
-    trials: int | None = None,
-    m: int = 5,
-    seed: int = 50,
-) -> list[dict]:
+def _base(sf: float) -> Population:
+    return Population.from_synthetic(movie_like(sf=sf, seed=21))
+
+
+def _trial_seeds(seed: int, k: int, n_updates: int) -> tuple[int, int]:
+    """(evaluator seed, first update seed) of trial ``k``; ``update_sequence``
+    seeds update b with first + 31 b. Trial k owns the seeds seed + 31 j for
+    (n_updates + 1) k <= j < (n_updates + 1)(k + 1), so no two trials, and
+    no update and evaluator, share a random stream."""
+    first = seed + 31 * (n_updates + 1) * k
+    return first, first + 31
+
+
+def single_batch_rows(*, base_sf: float = 0.5, trials: int | None = None) -> list[dict]:
     """Fig 8: incremental cost of Baseline / RS / SS for one update."""
     t = trials if trials is not None else n_trials(100)
     base = _base(base_sf)
@@ -52,14 +59,14 @@ def single_batch_rows(
         h = {"Baseline": [], "RS": [], "SS": []}
         mu = {"RS": [], "SS": []}
         for k in range(t):
+            ev_seed, delta_seed = _trial_seeds(50, k, 1)
             delta = Population.from_synthetic(
                 update_batch(
-                    n_triples=nb, accuracy=acc, seed=seed + 997 * k,
-                    subject_offset=10_000_000,
+                    n_triples=nb, accuracy=acc, seed=delta_seed, subject_offset=10_000_000
                 )
             )
             for name, cls in (("RS", ReservoirEvaluator), ("SS", StratifiedIncrementalEvaluator)):
-                ev, rng = cls(m=m), np.random.default_rng(seed + k)
+                ev, rng = cls(m=_M), np.random.default_rng(ev_seed)
                 ev.initialise(base, rng)
                 h0 = ev.hours
                 e = ev.apply_update(delta, rng)
@@ -67,9 +74,9 @@ def single_batch_rows(
                 mu[name].append(e.mu_hat)
 
             # Baseline (Sec 7.1.4): discard all annotations, static TWCS on G + Delta.
-            rng = np.random.default_rng(seed + k)
+            rng = np.random.default_rng(ev_seed)
             snapshot = Population.concat([base, delta])
-            h["Baseline"].append(mc.twcs_trial(snapshot, m, rng, EvalConfig()).hours)
+            h["Baseline"].append(mc.twcs_trial(snapshot, _M, rng, EvalConfig()).hours)
         rows.append(
             {
                 "experiment": f"vary {tag}",
@@ -90,8 +97,6 @@ def sequence_rows(
     base_sf: float = 0.25,
     n_batches: int = 10,
     trials: int | None = None,
-    m: int = 5,
-    seed: int = 77,
     corrupt: float | None = None,
 ) -> list[dict]:
     """Fig 9: estimates along a sequence of ~10%-size, 90%-accuracy
@@ -101,21 +106,22 @@ def sequence_rows(
     base = _base(base_sf)
     est = {col: np.zeros((t, n_batches + 1)) for col in ("RS", "SS", "truth")}
     for k in range(t):
+        ev_seed, delta_seed = _trial_seeds(77, k, n_batches)
         deltas = [
             Population.from_synthetic(d)
             for d in update_sequence(
                 n_batches=n_batches,
                 n_triples_each=int(base.n_triples * 0.1),
                 accuracy=0.9,
-                seed=seed + 31 * k,
+                seed=delta_seed,
                 subject_offset=10_000_000,
             )
         ]
-        rng = np.random.default_rng(seed + k)
-        rs = ReservoirEvaluator(m=m)
+        rng = np.random.default_rng(ev_seed)
+        rs = ReservoirEvaluator(m=_M)
         e = rs.initialise(base, rng)
-        rng2 = np.random.default_rng(seed + k)
-        ss = StratifiedIncrementalEvaluator(m=m)
+        rng2 = np.random.default_rng(ev_seed)
+        ss = StratifiedIncrementalEvaluator(m=_M)
         e2 = ss.initialise(base, rng2)
         if corrupt is not None:
             # Fault-injection: pretend the initial annotation round was
@@ -147,4 +153,4 @@ def sequence_rows(
 
 
 def text(rows: list[dict], title: str) -> str:
-    return render(title, rows, list(rows[0].keys()))
+    return render(title, rows)

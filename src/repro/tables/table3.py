@@ -69,8 +69,4 @@ def compute(
 
 
 def table_text(rows: list[dict]) -> str:
-    return render(
-        "Table 3: Data characteristics of various KGs (paper vs ours)",
-        rows,
-        list(rows[0].keys()),
-    )
+    return render("Table 3: Data characteristics of various KGs (paper vs ours)", rows)

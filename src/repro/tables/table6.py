@@ -14,12 +14,11 @@ from __future__ import annotations
 import time
 
 from repro.core.cluster_stats import Population
-from repro.core.variance import optimal_m
 from repro.kg.generator import nell_like, yago_like
 from repro.kgeval.coupling import build_coupling
 from repro.kgeval.kgeval import kgeval_evaluate
 from repro.sim import mc
-from repro.tables.common import n_trials, render
+from repro.tables.common import hours_cell, mu_cell, n_trials, render, task_m
 
 PAPER = {
     ("NELL", "KGEval"): dict(machine="12.44 hours", annotated="140", hours="2.3", est="91.84%"),
@@ -33,8 +32,9 @@ PAPER = {
 _MEAN_GROUP = {"NELL": 9.5, "YAGO": 6.0}
 
 
-def compute(*, trials: int | None = None, seed: int = 3) -> list[dict]:
+def compute(*, trials: int | None = None) -> list[dict]:
     t = trials if trials is not None else n_trials(1000)
+    seed = 3
     rows = []
     for name, gen in [("NELL", nell_like), ("YAGO", yago_like)]:
         kg = gen()
@@ -46,7 +46,7 @@ def compute(*, trials: int | None = None, seed: int = 3) -> list[dict]:
         kge = kgeval_evaluate(triples, edges, seed=seed)
 
         # --- TWCS: MC summary for costs + measured sampling time.
-        m_opt = optimal_m(pop.sizes, pop.cluster_accuracies, alpha=0.05, eps=0.05)
+        m_opt = task_m(pop)
         t0 = time.perf_counter()
         s = mc.run_trials(pop, "twcs", m=m_opt, n_trials=t, seed=seed)
         twcs_machine = (time.perf_counter() - t0) / t  # per full evaluation
@@ -66,13 +66,6 @@ def compute(*, trials: int | None = None, seed: int = 3) -> list[dict]:
                 "estimation (ours)": f"{100 * kge.mu_hat:.2f}%",
             }
         )
-        if name == "YAGO":
-            est = (
-                f"{100 * s.mu_mean:.1f}% "
-                f"({100 * s.mu_p025:.1f}%-{100 * s.mu_p975:.1f}%)"
-            )
-        else:
-            est = f"{100 * s.mu_mean:.2f}%±{100 * s.mu_sd:.1f}%"
         rows.append(
             {
                 "KG": name,
@@ -82,17 +75,13 @@ def compute(*, trials: int | None = None, seed: int = 3) -> list[dict]:
                 "# annotated (paper)": p_t["annotated"],
                 "# annotated (ours)": f"{s.triples_mean:.0f}±{s.triples_sd:.0f}",
                 "annotation h (paper)": p_t["hours"],
-                "annotation h (ours)": f"{s.hours_mean:.2f}±{s.hours_sd:.2f}",
+                "annotation h (ours)": hours_cell(s),
                 "estimation (paper)": p_t["est"],
-                "estimation (ours)": est,
+                "estimation (ours)": mu_cell(name, s, digits=2),
             }
         )
     return rows
 
 
 def table_text(rows: list[dict]) -> str:
-    return render(
-        "Table 6: TWCS vs KGEval on NELL and YAGO (paper vs ours)",
-        rows,
-        list(rows[0].keys()),
-    )
+    return render("Table 6: TWCS vs KGEval on NELL and YAGO (paper vs ours)", rows)

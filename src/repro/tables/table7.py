@@ -10,18 +10,15 @@ report it as a bonus reference while keeping the paper's N/A visible.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.cluster_stats import Population
 from repro.core.stratification import (
     np_assign_stratum_by_size,
     np_assign_stratum_oracle,
     np_cum_sqrt_f_boundaries,
 )
-from repro.core.variance import optimal_m
 from repro.kg.generator import movie_like, movie_syn, nell_like
 from repro.sim import mc
-from repro.tables.common import n_trials, render
+from repro.tables.common import hours_cell, mu_cell, n_trials, render, task_m
 
 PAPER = {
     ("NELL", "SRS"): ("2.3±0.45", "91.5%±2.1%"),
@@ -41,7 +38,7 @@ PAPER = {
 _N_STRATA = {"NELL": 2, "MOVIE-SYN": 4, "MOVIE": 4}
 
 
-def compute(*, movie_sf: float = 1.0, trials: int | None = None, seed: int = 2) -> list[dict]:
+def compute(*, movie_sf: float = 1.0, trials: int | None = None) -> list[dict]:
     t = trials if trials is not None else n_trials(1000)
     kgs = [
         ("NELL", Population.from_synthetic(nell_like())),
@@ -51,7 +48,7 @@ def compute(*, movie_sf: float = 1.0, trials: int | None = None, seed: int = 2) 
     rows = []
     for kg_name, pop in kgs:
         h = _N_STRATA[kg_name]
-        m_opt = optimal_m(pop.sizes, pop.cluster_accuracies, alpha=0.05, eps=0.05)
+        m_opt = task_m(pop)
         size_strata = np_assign_stratum_by_size(
             pop.sizes, np_cum_sqrt_f_boundaries(pop.sizes, h)
         )
@@ -63,16 +60,16 @@ def compute(*, movie_sf: float = 1.0, trials: int | None = None, seed: int = 2) 
             ("TWCS oracle-strat", dict(design="twcs_stratified", m=m_opt, strata=oracle_strata)),
         ]
         for label, kw in variants:
-            s = mc.run_trials(pop, n_trials=t, seed=seed, **kw)
+            s = mc.run_trials(pop, n_trials=t, seed=2, **kw)
             p_time, p_est = PAPER[(kg_name, label)]
             rows.append(
                 {
                     "KG": kg_name,
                     "method": label + (f" (m={m_opt})" if "TWCS" in label else ""),
                     "cost h (paper)": p_time,
-                    "cost h (ours)": f"{s.hours_mean:.2f}±{s.hours_sd:.2f}",
+                    "cost h (ours)": hours_cell(s),
                     "estimation (paper)": p_est,
-                    "estimation (ours)": f"{100 * s.mu_mean:.1f}%±{100 * s.mu_sd:.1f}%",
+                    "estimation (ours)": mu_cell(kg_name, s),
                 }
             )
     return rows
@@ -83,5 +80,4 @@ def table_text(rows: list[dict]) -> str:
         "Table 7: Evaluation cost (hours) of TWCS with stratification "
         "(* = paper's actual manual cost)",
         rows,
-        list(rows[0].keys()),
     )

@@ -23,8 +23,4 @@ def compute() -> list[dict]:
 
 
 def table_text() -> str:
-    return render(
-        "Table 8: Summary of existing work on KG accuracy evaluation",
-        compute(),
-        ["feature", "SRS", "KGEval", "Ours"],
-    )
+    return render("Table 8: Summary of existing work on KG accuracy evaluation", compute())

@@ -56,6 +56,22 @@ class TestAlgorithm2:
         ev.apply_update(delta_pop, rng)
         assert ev.strata[0].means == base_draws
 
+    def test_estimate_reads_the_newest_stratum_as_it_is(self, base_pop, delta_pop):
+        """The newest stratum is re-estimated, in-place edits too; an older
+        one keeps its estimate from when the next update arrived."""
+        ev = StratifiedIncrementalEvaluator(m=5)
+        rng = np.random.default_rng(3)
+        ev.initialise(base_pop, rng)
+        ev.strata[0].means[:] = [0.5] * len(ev.strata[0].means)
+        assert ev.estimate().mu_hat == 0.5
+        ev.apply_update(delta_pop, rng)
+        before = ev.estimate()
+        ev.strata[0].means[:] = [1.0] * len(ev.strata[0].means)
+        assert ev.estimate() == before
+        w0 = base_pop.n_triples / (base_pop.n_triples + delta_pop.n_triples)
+        mu1 = np.mean(ev.strata[1].means)
+        assert before.mu_hat == pytest.approx(w0 * 0.5 + (1 - w0) * mu1)
+
     @pytest.mark.parametrize("state", ["strata", "ledger", "stop_reason"])
     def test_state_is_not_a_constructor_option(self, state):
         with pytest.raises(TypeError):

@@ -3,10 +3,14 @@
 Small scale factors / trial counts keep these fast; the shape assertions
 (which method wins, roughly by how much) are the reproduction contract.
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.cluster_stats import Population
+from repro.evolving.stratified_inc import StratifiedIncrementalEvaluator
+from repro.kg import updates
 from repro.kg.generator import movie_like
 from repro.kg.updates import update_sequence
 from repro.tables import evolving, table3, table4, table5, table6, table7, table8
@@ -22,6 +26,11 @@ def _col(rows, kg, method, col):
 
 def _hours(cell: str) -> float:
     return float(cell.split("±")[0])
+
+
+def _pinned(name: str) -> str:
+    """The text ``tests/pins/<name>.txt`` records, without its final newline."""
+    return (Path(__file__).parent / "pins" / f"{name}.txt").read_text()[:-1]
 
 
 class TestTable3:
@@ -72,7 +81,7 @@ class TestTable4:
 class TestTable5:
     @pytest.fixture(scope="class")
     def rows(self):
-        return table5.compute(movie_sf=0.02, trials=25, rcs_trials=3)
+        return table5.compute(movie_sf=0.02, trials=25)
 
     def test_twcs_is_cheapest_on_movie_and_nell(self, rows):
         for kg in ("MOVIE", "NELL"):
@@ -96,6 +105,9 @@ class TestTable5:
     def test_renders(self, rows):
         assert "Table 5" in table5.table_text(rows)
 
+    def test_text_is_pinned(self, rows):
+        assert table5.table_text(rows) == _pinned("table5")
+
 
 class TestTable6:
     @pytest.fixture(scope="class")
@@ -116,6 +128,11 @@ class TestTable6:
 
     def test_renders(self, rows):
         assert "KGEval" in table6.table_text(rows)
+
+    def test_text_is_pinned(self, rows):
+        """Every cell but the measured machine times, which vary run to run."""
+        masked = [{**r, "machine time (ours)": "masked"} for r in rows]
+        assert table6.table_text(masked) == _pinned("table6")
 
 
 class TestTable7:
@@ -143,6 +160,9 @@ class TestTable7:
     def test_renders(self, rows):
         assert "stratification" in table7.table_text(rows)
 
+    def test_text_is_pinned(self, rows):
+        assert table7.table_text(rows) == _pinned("table7")
+
 
 class TestTable8:
     def test_feature_matrix(self):
@@ -151,30 +171,50 @@ class TestTable8:
         assert all(r["Ours"] == "yes" for r in rows)
         assert table8.table_text().count("yes") >= 5
 
+    def test_text_is_pinned(self):
+        assert table8.table_text() == _pinned("table8")
+
 
 class TestEvolvingHarness:
-    def test_single_batch_rows_shape(self):
-        rows = evolving.single_batch_rows(base_sf=0.02, trials=3)
-        assert len(rows) == 6
-        for r in rows:
+    @pytest.fixture(scope="class")
+    def single(self):
+        return evolving.single_batch_rows(base_sf=0.02, trials=3)
+
+    @pytest.fixture(scope="class")
+    def sequence(self):
+        return evolving.sequence_rows(base_sf=0.02, n_batches=3, trials=3)
+
+    def test_single_batch_rows_shape(self, single):
+        assert len(single) == 6
+        for r in single:
             assert float(r["SS h"]) <= float(r["Baseline h"])
 
-    def test_sequence_rows_track_truth(self):
-        rows = evolving.sequence_rows(base_sf=0.02, n_batches=3, trials=3)
-        last = rows[-1]
+    def test_single_batch_rows_are_pinned(self, single):
+        assert evolving.text(single, "Fig 8") == _pinned("fig8")
+
+    def test_sequence_rows_are_pinned(self, sequence):
+        assert evolving.text(sequence, "Fig 9-1") == _pinned("fig9")
+
+    def test_corrupted_sequence_rows_are_pinned(self):
+        rows = evolving.sequence_rows(base_sf=0.02, n_batches=3, trials=3, corrupt=0.75)
+        assert evolving.text(rows, "Fig 9-2/3") == _pinned("fig9_corrupt")
+
+    def test_sequence_rows_track_truth(self, sequence):
+        last = sequence[-1]
         truth = float(last["truth"].rstrip("%"))
         for k in ("RS est", "SS est"):
             assert abs(float(last[k].rstrip("%")) - truth) < 5.0
 
     def test_sequence_truth_is_the_mean_over_trials(self):
-        """Each trial draws its own update sequence (seed + 31k), so the
-        truth column averages their accuracies as the estimates do."""
+        """Each trial draws its own update sequence (trial k of 2-update
+        sequences starts at seed 77 + 31 (3k + 1)), so the truth column
+        averages their accuracies as the estimates do."""
         base = Population.from_synthetic(movie_like(sf=0.002, seed=21))
         truth = np.zeros((3, 3))
         for k in range(3):
             deltas = update_sequence(
                 n_batches=2, n_triples_each=int(base.n_triples * 0.1), accuracy=0.9,
-                seed=77 + 31 * k, subject_offset=10_000_000,
+                seed=77 + 31 * (3 * k + 1), subject_offset=10_000_000,
             )
             pops = [base] + [Population.from_synthetic(d) for d in deltas]
             truth[k] = [Population.concat(pops[: b + 1]).mu for b in range(3)]
@@ -182,9 +222,50 @@ class TestEvolvingHarness:
         assert [r["truth"] for r in rows] == [f"{100 * x:.1f}%" for x in truth.mean(axis=0)]
 
 
+class TestEvolvingSeeds:
+    """No two trials share an update batch, and no update batch shares its
+    random stream with an evaluator's."""
+
+    @pytest.fixture
+    def seeds(self, monkeypatch):
+        seen: dict[str, list[int]] = {"update": [], "evaluator": []}
+
+        def recording(fn):
+            def wrapper(**kw):
+                seen["update"].append(kw["seed"])
+                return fn(**kw)
+
+            return wrapper
+
+        # update_sequence draws each of its batches through updates.update_batch.
+        monkeypatch.setattr(updates, "update_batch", recording(updates.update_batch))
+        monkeypatch.setattr(evolving, "update_batch", recording(evolving.update_batch))
+        initialise = StratifiedIncrementalEvaluator.initialise
+
+        def recording_initialise(ev, pop, rng):
+            seen["evaluator"].append(int(rng.bit_generator.seed_seq.entropy))
+            return initialise(ev, pop, rng)
+
+        monkeypatch.setattr(StratifiedIncrementalEvaluator, "initialise", recording_initialise)
+        return seen
+
+    def test_sequence_rows(self, seeds):
+        evolving.sequence_rows(base_sf=0.002, n_batches=2, trials=3)
+        assert len(set(seeds["update"])) == len(seeds["update"]) == 6
+        assert len(set(seeds["evaluator"])) == 3
+        assert not set(seeds["update"]) & set(seeds["evaluator"])
+
+    def test_single_batch_rows(self, seeds):
+        """Each of the six settings runs the same three trials."""
+        evolving.single_batch_rows(base_sf=0.002, trials=3)
+        assert len(seeds["update"]) == 18 and len(set(seeds["update"])) == 3
+        assert len(set(seeds["evaluator"])) == 3
+        assert not set(seeds["update"]) & set(seeds["evaluator"])
+
+
 class TestRender:
     def test_fixed_width_alignment(self):
-        text = render("T", [{"a": 1, "bb": "x"}, {"a": 22, "bb": "yyy"}], ["a", "bb"])
+        text = render("T", [{"a": 1, "bb": "x"}, {"a": 22, "bb": "yyy"}])
         lines = text.splitlines()
         assert lines[0] == "T"
         assert len({len(line) for line in lines[2:4]}) >= 1
